@@ -18,7 +18,6 @@
 //! is byte-identical run over run — `scripts/tier1.sh` runs it twice and
 //! compares. Without the variable, the same report carries real timings.
 
-use std::time::Duration;
 
 use cc19_bench::TablePrinter;
 use cc19_ctsim::fbp::fbp_parallel;
@@ -152,7 +151,7 @@ fn stage_serve() {
         // max_batch 1 keeps the batcher's real-time coalescing window (the
         // one wall-clock wait in the serving path) out of the picture, so
         // the sequential submit/wait loop below is fully deterministic.
-        batch: BatchPolicy { max_batch: 1, max_delay: Duration::ZERO },
+        batch: BatchPolicy { max_batch: 1 },
         threshold: 0.5,
         ..ServerCfg::default()
     };
@@ -185,7 +184,7 @@ fn stage_serve_cluster() -> std::sync::Arc<Registry> {
     let cfg = ClusterCfg {
         workers: CLUSTER_WORKERS,
         worker: ServerCfg {
-            batch: BatchPolicy { max_batch: 1, max_delay: Duration::ZERO },
+            batch: BatchPolicy { max_batch: 1 },
             threshold: 0.5,
             ..ServerCfg::default()
         },

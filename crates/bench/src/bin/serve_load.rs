@@ -1,8 +1,8 @@
-//! Serving load sweep: offered QPS × batch coalescing delay against the
-//! `cc19-serve` server — throughput, completion latency quantiles,
-//! batch occupancy, and reject rate per cell. This is the serving-side
-//! counterpart of the paper's turnaround-time claim: it shows where the
-//! dynamic batcher trades p50 for throughput and where admission
+//! Serving load sweep: offered QPS against the `cc19-serve` server —
+//! throughput, completion latency quantiles, batch occupancy, and
+//! reject rate per row. This is the serving-side counterpart of the
+//! paper's turnaround-time claim: it shows where batches start to form
+//! by themselves (arrivals outpacing a pipeline) and where admission
 //! control starts shedding load.
 //!
 //! ```text
@@ -18,7 +18,6 @@ use computecovid19::framework::Framework;
 
 struct Cell {
     qps: f64,
-    delay_ms: u64,
     offered: usize,
     completed: u64,
     rejected: u64,
@@ -30,13 +29,10 @@ struct Cell {
     mean_batch: f64,
 }
 
-fn run_cell(qps: f64, delay_ms: u64, offered: usize, dims: [usize; 3]) -> Cell {
+fn run_cell(qps: f64, offered: usize, dims: [usize; 3]) -> Cell {
     let cfg = ServerCfg {
         queue_bound: 32,
-        batch: BatchPolicy {
-            max_batch: 8,
-            max_delay: Duration::from_millis(delay_ms),
-        },
+        batch: BatchPolicy { max_batch: 8 },
         pipelines: 2,
         ..ServerCfg::default()
     };
@@ -46,7 +42,7 @@ fn run_cell(qps: f64, delay_ms: u64, offered: usize, dims: [usize; 3]) -> Cell {
     // Open-loop arrivals: fixed inter-arrival gap = 1/qps, submissions
     // never wait for completions (that's what makes overload visible).
     let gap = Duration::from_secs_f64(1.0 / qps);
-    let mut rng = Xorshift::new(0xAD_1015 ^ delay_ms);
+    let mut rng = Xorshift::new(0xAD_1015);
     let start = Instant::now();
     let mut pendings = Vec::new();
     let mut rejected_sync = 0u64;
@@ -77,7 +73,6 @@ fn run_cell(qps: f64, delay_ms: u64, offered: usize, dims: [usize; 3]) -> Cell {
     let (p50, p95, p99) = metrics.total_latency_quantiles_ms();
     Cell {
         qps,
-        delay_ms,
         offered,
         completed: snap.completed,
         rejected: snap.rejected,
@@ -92,58 +87,45 @@ fn run_cell(qps: f64, delay_ms: u64, offered: usize, dims: [usize; 3]) -> Cell {
 
 fn main() {
     let scale = parse_scale();
-    banner("serve_load", "QPS x batch-delay sweep of the serving layer", scale);
+    banner("serve_load", "offered-QPS sweep of the serving layer", scale);
 
-    let (offered, dims, qps_grid, delay_grid): (usize, [usize; 3], Vec<f64>, Vec<u64>) =
-        match scale {
-            Scale::Full => (96, [8, 64, 64], vec![5.0, 20.0, 80.0], vec![0, 2, 10]),
-            Scale::Quick => (32, [4, 32, 32], vec![10.0, 60.0], vec![0, 5]),
-        };
+    let (offered, dims, qps_grid): (usize, [usize; 3], Vec<f64>) = match scale {
+        Scale::Full => (96, [8, 64, 64], vec![5.0, 20.0, 80.0]),
+        Scale::Quick => (32, [4, 32, 32], vec![10.0, 60.0]),
+    };
 
-    let t = TablePrinter::new(&[8, 10, 10, 9, 9, 10, 10, 10, 10, 11]);
+    let t = TablePrinter::new(&[8, 10, 9, 9, 10, 10, 10, 10, 11]);
     t.row(&[
-        &"QPS", &"delay ms", &"done/off", &"rej", &"tput/s", &"p50 ms", &"p95 ms", &"p99 ms",
-        &"max batch", &"mean batch",
+        &"QPS", &"done/off", &"rej", &"tput/s", &"p50 ms", &"p95 ms", &"p99 ms", &"max batch",
+        &"mean batch",
     ]);
     t.sep();
     let mut csv = String::from(
-        "offered_qps,max_delay_ms,offered,completed,rejected,throughput_per_s,p50_ms,p95_ms,p99_ms,max_batch,mean_batch\n",
+        "offered_qps,offered,completed,rejected,throughput_per_s,p50_ms,p95_ms,p99_ms,max_batch,mean_batch\n",
     );
     for &qps in &qps_grid {
-        for &delay_ms in &delay_grid {
-            let c = run_cell(qps, delay_ms, offered, dims);
-            let tput = c.completed as f64 / c.wall_s;
-            t.row(&[
-                &format!("{:.0}", c.qps),
-                &c.delay_ms,
-                &format!("{}/{}", c.completed, c.offered),
-                &c.rejected,
-                &format!("{tput:.1}"),
-                &format!("{:.1}", c.p50),
-                &format!("{:.1}", c.p95),
-                &format!("{:.1}", c.p99),
-                &c.max_batch,
-                &format!("{:.2}", c.mean_batch),
-            ]);
-            csv.push_str(&format!(
-                "{:.1},{},{},{},{},{:.2},{:.3},{:.3},{:.3},{},{:.3}\n",
-                c.qps,
-                c.delay_ms,
-                c.offered,
-                c.completed,
-                c.rejected,
-                tput,
-                c.p50,
-                c.p95,
-                c.p99,
-                c.max_batch,
-                c.mean_batch
-            ));
-        }
-        t.sep();
+        let c = run_cell(qps, offered, dims);
+        let tput = c.completed as f64 / c.wall_s;
+        t.row(&[
+            &format!("{:.0}", c.qps),
+            &format!("{}/{}", c.completed, c.offered),
+            &c.rejected,
+            &format!("{tput:.1}"),
+            &format!("{:.1}", c.p50),
+            &format!("{:.1}", c.p95),
+            &format!("{:.1}", c.p99),
+            &c.max_batch,
+            &format!("{:.2}", c.mean_batch),
+        ]);
+        csv.push_str(&format!(
+            "{:.1},{},{},{},{:.2},{:.3},{:.3},{:.3},{},{:.3}\n",
+            c.qps, c.offered, c.completed, c.rejected, tput, c.p50, c.p95, c.p99, c.max_batch,
+            c.mean_batch
+        ));
     }
-    println!("\nshape checks: raising the coalescing delay at low QPS inflates p50 without");
-    println!("throughput gain; at high QPS it grows mean batch size (and admission control");
-    println!("sheds load once the 32-deep queue saturates) — the Triton-style tradeoff.");
+    t.sep();
+    println!("\nshape checks: at low QPS every dispatch is a batch of one and p50 is the");
+    println!("service time; past a pipeline's capacity batches fill by themselves (mean");
+    println!("batch grows) and admission control sheds load once the 32-deep queue saturates.");
     cc19_bench::write_result("serve_load.csv", &csv);
 }

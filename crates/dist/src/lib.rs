@@ -40,7 +40,7 @@ pub use cluster::{ClusterModel, Interconnect};
 pub use error::Error;
 pub use fault::{FaultConfig, FaultKind, FaultPlan};
 pub use framing::WireFrame;
-pub use link::{byte_link, byte_link_in, ByteRx, ByteTx};
+pub use link::{byte_link, ByteRx, ByteTx};
 pub use trainer::{
     train_distributed, train_distributed_ft, CheckpointCfg, DistConfig, DistStats, FtOptions,
 };

@@ -8,15 +8,16 @@
 //! transport gap filled: a single directed link carrying `Vec<u8>` frames
 //! with exactly the reliability layer of the f32 transport.
 //!
-//! Two receive modes exist because the router must never block:
-//!
-//! - [`ByteRx::recv`] — blocking with jittered exponential backoff and a
-//!   hard cap, for a worker waiting on its dispatch queue;
-//! - [`ByteRx::try_recv`] — non-blocking, for the router polling many
-//!   worker reply links in one event loop. A `None` means "nothing ready";
-//!   an `Err(RankDead)` means the peer dropped its sender (died) *and*
-//!   every frame it ever sent has been drained — so by the time a death
-//!   verdict surfaces, no acknowledged work can be lost.
+//! Receiving never blocks: [`ByteRx::try_recv`] serves an event loop that
+//! owns several links (the serve router and worker nodes). A `None` means
+//! "nothing ready"; an `Err(RankDead)` means the peer dropped its sender
+//! (died) *and* every frame it ever sent has been drained — so by the
+//! time a death verdict surfaces, no acknowledged work can be lost. Such
+//! a loop does not poll either: [`ByteTx::on_send`] installs a wake-up
+//! the sender calls once a frame is recoverable (on the wire or, for a
+//! frame the fault plan dropped, in the retransmit buffer) and again when
+//! the sending half is dropped, so the receiver sleeps until the event
+//! itself wakes it and one `try_recv` then finds the frame or the hang-up.
 //!
 //! Send-side ordering is determinism-critical: a frame is pushed to the
 //! channel *before* its authoritative copy lands in the retransmit slot,
@@ -32,20 +33,18 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::Error;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::obs::LinkStats;
-use crate::transport::{backoff_delay, TimeoutCfg};
+use crate::transport::lock;
 
 /// One message on a byte link: sequence-numbered, checksummed payload.
 #[derive(Debug, Clone)]
 pub struct ByteFrame {
-    /// Sender's node id.
-    pub src: usize,
     /// Per-link sequence number.
     pub seq: u64,
     /// CRC-32 of the *original* payload (corrupt faults flip bits in the
@@ -58,10 +57,23 @@ pub struct ByteFrame {
 /// Sender-side reliability buffer, shared with the link's receiver.
 type ByteSlot = Arc<Mutex<HashMap<u64, Vec<u8>>>>;
 
-/// Poison-tolerant lock (same argument as `transport::lock`: the guarded
-/// map holds plain owned data, valid wherever a panicking peer stopped).
-fn lock<T: ?Sized>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// The receiver's wake-up ([`ByteTx::on_send`]). Ringing on drop is what
+/// turns a hang-up into an event: `ByteTx` declares this field after its
+/// channel sender, so the disconnect is visible before the receiver wakes.
+struct Wake(Option<Box<dyn Fn() + Send + Sync>>);
+
+impl Wake {
+    fn ring(&self) {
+        if let Some(f) = &self.0 {
+            f();
+        }
+    }
+}
+
+impl Drop for Wake {
+    fn drop(&mut self) {
+        self.ring();
+    }
 }
 
 fn crc32_bytes(bytes: &[u8]) -> u32 {
@@ -78,33 +90,26 @@ pub struct ByteTx {
     slot: ByteSlot,
     faults: FaultPlan,
     stats: LinkStats,
+    /// Must stay below `tx` (fields drop in declaration order).
+    wake: Wake,
 }
 
 /// Receiving half of a reliable byte link.
 pub struct ByteRx {
-    me: usize,
     peer: usize,
     want: u64,
     rx: Receiver<ByteFrame>,
     slot: ByteSlot,
     stash: HashMap<u64, Vec<u8>>,
-    faults: FaultPlan,
-    t: TimeoutCfg,
     stats: LinkStats,
 }
 
 /// Build a reliable byte link carrying traffic from node `src` to node
-/// `dst`, with metrics on the process-global registry.
-pub fn byte_link(src: usize, dst: usize, faults: FaultPlan, t: TimeoutCfg) -> (ByteTx, ByteRx) {
-    byte_link_in(src, dst, faults, t, cc19_obs::global())
-}
-
-/// [`byte_link`] against an explicit `cc19-obs` registry.
-pub fn byte_link_in(
+/// `dst`, with metrics on `reg`.
+pub fn byte_link(
     src: usize,
     dst: usize,
     faults: FaultPlan,
-    t: TimeoutCfg,
     reg: &cc19_obs::Registry,
 ) -> (ByteTx, ByteRx) {
     let stats = LinkStats::from_registry(reg);
@@ -120,25 +125,18 @@ pub fn byte_link_in(
             slot: slot.clone(),
             faults,
             stats: stats.clone(),
+            wake: Wake(None),
         },
-        ByteRx {
-            me: dst,
-            peer: src,
-            want: 0,
-            rx,
-            slot,
-            stash: HashMap::new(),
-            faults,
-            t,
-            stats,
-        },
+        ByteRx { peer: src, want: 0, rx, slot, stash: HashMap::new(), stats },
     )
 }
 
 impl ByteTx {
-    /// The node id this half sends as.
-    pub fn src(&self) -> usize {
-        self.src
+    /// Call `wake` after every [`ByteTx::send`] (wire-dropped frames
+    /// included: the retransmit buffer has them by then) and when this
+    /// half is dropped; the receiver follows up with [`ByteRx::try_recv`].
+    pub fn on_send(&mut self, wake: impl Fn() + Send + Sync + 'static) {
+        self.wake = Wake(Some(Box::new(wake)));
     }
 
     /// Ship `payload` down the link. Never blocks and never fails: the
@@ -153,6 +151,7 @@ impl ByteTx {
         if actions.contains(&FaultKind::Drop) {
             // Dropped on the wire: only the reliability buffer gets it.
             lock(&self.slot).insert(seq, payload.to_vec());
+            self.wake.ring();
             return;
         }
         let crc = crc32_bytes(payload);
@@ -170,7 +169,7 @@ impl ByteTx {
                 FaultKind::Drop => {} // handled by the early return above
             }
         }
-        let frame = ByteFrame { src: self.src, seq, crc, payload: wire };
+        let frame = ByteFrame { seq, crc, payload: wire };
         if duplicate {
             let _ = self.tx.send(frame.clone());
         }
@@ -179,15 +178,11 @@ impl ByteTx {
         // buffered `want` then unambiguously means a wire fault, keeping
         // the receiver's retransmit-pull count deterministic.
         lock(&self.slot).insert(seq, payload.to_vec());
+        self.wake.ring();
     }
 }
 
 impl ByteRx {
-    /// The peer node id this half receives from.
-    pub fn peer(&self) -> usize {
-        self.peer
-    }
-
     /// Non-blocking poll for the next in-sequence payload.
     ///
     /// - `Ok(Some(p))` — the next payload, exactly once, in order;
@@ -201,112 +196,13 @@ impl ByteRx {
             }
             match self.rx.recv_timeout(Duration::ZERO) {
                 Ok(frame) => self.absorb(frame),
-                Err(RecvTimeoutError::Timeout) => {
+                // Wire empty: what is still owed sits in the buffer.
+                Err(end) => {
                     if let Some(p) = self.pull_buffered() {
                         return Ok(Some(self.deliver(p)));
                     }
-                    return Ok(None);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    if let Some(p) = self.pull_buffered() {
-                        return Ok(Some(self.deliver(p)));
-                    }
-                    self.stats.rank_dead.inc();
-                    return Err(Error::RankDead { rank: self.peer });
-                }
-            }
-        }
-    }
-
-    /// Blocking receive with jittered exponential backoff between wakeups
-    /// (retransmit pulls happen on each timeout) and a hard cap.
-    ///
-    /// Unlike the f32 transport's lockstep receives, an idle byte link has
-    /// no outstanding frame it is owed, so backoff wakeups here do not
-    /// count toward `dist_recv_timeouts_total` — only genuine reliability
-    /// events (pulls, CRC rejects, duplicates) reach the registry, which
-    /// keeps the counters a pure function of the fault plan.
-    pub fn recv(&mut self) -> Result<Vec<u8>, Error> {
-        if let Some(p) = self.stash.remove(&self.want) {
-            return Ok(self.deliver(p));
-        }
-        let start = Instant::now();
-        let mut attempt: u32 = 0;
-        loop {
-            if start.elapsed() > self.t.hard_cap {
-                return Err(Error::Timeout { rank: self.me, peer: self.peer, op: "byte recv" });
-            }
-            let backoff = backoff_delay(
-                &self.t,
-                self.faults.seed(),
-                crate::transport::link_stream(self.peer, self.me),
-                attempt,
-            );
-            match self.rx.recv_timeout(backoff) {
-                Ok(frame) => {
-                    self.absorb(frame);
-                    if let Some(p) = self.stash.remove(&self.want) {
-                        return Ok(self.deliver(p));
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(p) = self.pull_buffered() {
-                        return Ok(self.deliver(p));
-                    }
-                    attempt = attempt.saturating_add(1);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    if let Some(p) = self.pull_buffered() {
-                        return Ok(self.deliver(p));
-                    }
-                    self.stats.rank_dead.inc();
-                    return Err(Error::RankDead { rank: self.peer });
-                }
-            }
-        }
-    }
-
-    /// Blocking receive bounded by `max_wait` instead of the hard cap:
-    /// `Ok(None)` when nothing became deliverable in time. A worker idles
-    /// on this with a short bound so it keeps heartbeating between
-    /// dispatches instead of vanishing into a long blocking receive.
-    pub fn recv_wait(&mut self, max_wait: Duration) -> Result<Option<Vec<u8>>, Error> {
-        if let Some(p) = self.stash.remove(&self.want) {
-            return Ok(Some(self.deliver(p)));
-        }
-        let start = Instant::now();
-        let mut attempt: u32 = 0;
-        loop {
-            let left = max_wait.saturating_sub(start.elapsed());
-            if left.is_zero() {
-                if let Some(p) = self.pull_buffered() {
-                    return Ok(Some(self.deliver(p)));
-                }
-                return Ok(None);
-            }
-            let backoff = backoff_delay(
-                &self.t,
-                self.faults.seed(),
-                crate::transport::link_stream(self.peer, self.me),
-                attempt,
-            )
-            .min(left);
-            match self.rx.recv_timeout(backoff) {
-                Ok(frame) => {
-                    self.absorb(frame);
-                    if let Some(p) = self.stash.remove(&self.want) {
-                        return Ok(Some(self.deliver(p)));
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(p) = self.pull_buffered() {
-                        return Ok(Some(self.deliver(p)));
-                    }
-                    attempt = attempt.saturating_add(1);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    if let Some(p) = self.pull_buffered() {
-                        return Ok(Some(self.deliver(p)));
+                    if end == RecvTimeoutError::Timeout {
+                        return Ok(None);
                     }
                     self.stats.rank_dead.inc();
                     return Err(Error::RankDead { rank: self.peer });
@@ -366,10 +262,10 @@ mod tests {
     fn bytes_roundtrip_in_order() {
         let reg = fresh_reg();
         let (mut tx, mut rx) =
-            byte_link_in(0, 1, FaultPlan::none(), TimeoutCfg::fast(), &reg);
+            byte_link(0, 1, FaultPlan::none(), &reg);
         tx.send(b"alpha");
         tx.send(b"beta");
-        assert_eq!(rx.recv().unwrap(), b"alpha");
+        assert_eq!(rx.try_recv().unwrap(), Some(b"alpha".to_vec()));
         assert_eq!(rx.try_recv().unwrap(), Some(b"beta".to_vec()));
         assert_eq!(rx.try_recv().unwrap(), None);
     }
@@ -379,12 +275,12 @@ mod tests {
         let reg = fresh_reg();
         let cfg = FaultConfig { p_drop: 0.5, p_corrupt: 0.5, ..FaultConfig::clean() };
         let (mut tx, mut rx) =
-            byte_link_in(0, 1, FaultPlan::seeded(5, cfg), TimeoutCfg::fast(), &reg);
+            byte_link(0, 1, FaultPlan::seeded(5, cfg), &reg);
         for i in 0..64u8 {
             tx.send(&[i, i.wrapping_mul(3)]);
         }
         for i in 0..64u8 {
-            assert_eq!(rx.recv().unwrap(), vec![i, i.wrapping_mul(3)]);
+            assert_eq!(rx.try_recv().unwrap(), Some(vec![i, i.wrapping_mul(3)]));
         }
     }
 
@@ -393,11 +289,11 @@ mod tests {
         let reg = fresh_reg();
         let cfg = FaultConfig { p_duplicate: 1.0, ..FaultConfig::clean() };
         let (mut tx, mut rx) =
-            byte_link_in(0, 1, FaultPlan::seeded(5, cfg), TimeoutCfg::fast(), &reg);
+            byte_link(0, 1, FaultPlan::seeded(5, cfg), &reg);
         tx.send(b"x");
         tx.send(b"y");
-        assert_eq!(rx.recv().unwrap(), b"x");
-        assert_eq!(rx.recv().unwrap(), b"y");
+        assert_eq!(rx.try_recv().unwrap(), Some(b"x".to_vec()));
+        assert_eq!(rx.try_recv().unwrap(), Some(b"y".to_vec()));
         assert_eq!(rx.try_recv().unwrap(), None);
     }
 
@@ -409,19 +305,45 @@ mod tests {
         // dropped sender turns into a death verdict.
         let cfg = FaultConfig { p_drop: 1.0, ..FaultConfig::clean() };
         let (mut tx, mut rx) =
-            byte_link_in(2, 0, FaultPlan::seeded(9, cfg), TimeoutCfg::fast(), &reg);
+            byte_link(2, 0, FaultPlan::seeded(9, cfg), &reg);
         tx.send(b"last words");
         drop(tx);
         assert_eq!(rx.try_recv().unwrap(), Some(b"last words".to_vec()));
         assert_eq!(rx.try_recv().unwrap_err(), Error::RankDead { rank: 2 });
     }
 
+    /// The receiver sleeps on the wake-up alone (no timeout: a send path
+    /// that forgets to ring hangs the test) and polls once per wake-up.
+    #[test]
+    fn on_send_wakes_the_receiver_for_faulted_frames_and_for_the_hang_up() {
+        for cfg in [
+            FaultConfig { p_drop: 1.0, ..FaultConfig::clean() },
+            FaultConfig { p_corrupt: 1.0, ..FaultConfig::clean() },
+        ] {
+            let reg = fresh_reg();
+            let (mut tx, mut rx) = byte_link(1, 0, FaultPlan::seeded(3, cfg), &reg);
+            let (bell, woken) = unbounded::<()>();
+            tx.on_send(move || drop(bell.send(())));
+            let receiver = std::thread::spawn(move || {
+                woken.recv().unwrap();
+                let frame = rx.try_recv();
+                woken.recv().unwrap();
+                (frame, rx.try_recv())
+            });
+            tx.send(b"reply");
+            drop(tx);
+            let (frame, hang_up) = receiver.join().unwrap();
+            assert_eq!(frame.unwrap(), Some(b"reply".to_vec()));
+            assert_eq!(hang_up.unwrap_err(), Error::RankDead { rank: 1 });
+            assert_eq!(reg.counter("dist_retransmit_pulls_total").get(), 1, "{cfg:?}");
+        }
+    }
+
     #[test]
     fn try_recv_is_nonblocking_on_an_idle_link() {
         let reg = fresh_reg();
-        let (_tx, mut rx) =
-            byte_link_in(0, 1, FaultPlan::none(), TimeoutCfg::fast(), &reg);
-        let t0 = Instant::now();
+        let (_tx, mut rx) = byte_link(0, 1, FaultPlan::none(), &reg);
+        let t0 = std::time::Instant::now();
         assert_eq!(rx.try_recv().unwrap(), None);
         assert!(t0.elapsed() < Duration::from_millis(100));
     }

@@ -65,8 +65,8 @@ type Slot = Arc<Mutex<HashMap<u64, Vec<f32>>>>;
 /// chaos kill, or a genuine bug on another rank) must not cascade into
 /// this rank's transport: the guarded maps hold plain owned data that
 /// stays valid wherever the panicking thread stopped, so recovering the
-/// inner value is always sound here.
-fn lock<T: ?Sized>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// inner value is always sound here. Shared with [`crate::link`].
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 

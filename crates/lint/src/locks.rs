@@ -41,7 +41,6 @@ const LOCK_HELPERS: &[&str] = &["lock", "wait", "wait_timeout"];
 const BLOCKING_METHODS: &[&str] = &[
     "recv",
     "recv_timeout",
-    "recv_wait",
     "join",
     "wait",
     "wait_timeout",

@@ -7,7 +7,6 @@
 //! direct-path report bit for bit.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use cc19_ctsim::phantom::Severity;
 use cc19_data::progression::{progression_series, progression_volume, ProgressionCourse};
@@ -115,7 +114,7 @@ fn resubmission_is_a_cache_hit_with_bit_identical_results() {
 /// sequential and deterministic.
 fn worker_cfg() -> ServerCfg {
     ServerCfg {
-        batch: BatchPolicy { max_batch: 1, max_delay: Duration::ZERO },
+        batch: BatchPolicy { max_batch: 1 },
         threshold: THRESHOLD,
         ..ServerCfg::default()
     }

@@ -7,12 +7,21 @@
 //! and a proptest in `crates/obs/tests/` pins the result against a
 //! naive sort oracle. Bucket counts (cumulative-bound style) ride along
 //! for the Prometheus exporter.
+//!
+//! Only the most recent [`SAMPLE_WINDOW`] samples are kept, so a
+//! histogram on a hot path (one sample per convolution, per request)
+//! costs a fixed 32 KiB however long the process serves; count, sum,
+//! mean, max and the bucket counts cover every sample ever observed,
+//! quantiles and [`Histogram::samples`] the window.
 
 /// Default bucket upper bounds for durations in **seconds**: roughly
 /// exponential from 1 µs to 10 s (a `+Inf` bucket is implicit).
 pub const DEFAULT_SECONDS_BOUNDS: &[f64] = &[
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 ];
+
+/// How many of the latest samples a histogram keeps for quantiles.
+pub const SAMPLE_WINDOW: usize = 4096;
 
 /// An exact-sample histogram with fixed bucket bounds.
 #[derive(Debug, Clone)]
@@ -21,8 +30,12 @@ pub struct Histogram {
     /// `counts[i]` = samples with `v <= bounds[i]` and `> bounds[i-1]`;
     /// one extra slot at the end counts the `+Inf` overflow bucket.
     counts: Vec<u64>,
+    /// The latest `SAMPLE_WINDOW` samples; once full, sample `n` (0-based)
+    /// overwrites slot `n % SAMPLE_WINDOW`.
     samples: Vec<f64>,
+    count: u64,
     sum: f64,
+    max: f64,
 }
 
 impl Histogram {
@@ -32,7 +45,9 @@ impl Histogram {
             bounds: bounds.to_vec(),
             counts: vec![0; bounds.len() + 1],
             samples: Vec::new(),
+            count: 0,
             sum: 0.0,
+            max: 0.0,
         }
     }
 
@@ -45,13 +60,19 @@ impl Histogram {
     pub fn observe(&mut self, v: f64) {
         let idx = self.bounds.partition_point(|&b| b < v);
         self.counts[idx] += 1;
-        self.samples.push(v);
+        if self.samples.len() < SAMPLE_WINDOW {
+            self.samples.push(v);
+        } else {
+            self.samples[(self.count % SAMPLE_WINDOW as u64) as usize] = v;
+        }
+        self.count += 1;
         self.sum += v;
+        self.max = self.max.max(v);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.samples.len() as u64
+        self.count
     }
 
     /// Sum of all samples.
@@ -61,16 +82,16 @@ impl Histogram {
 
     /// Arithmetic mean, `0.0` when empty.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() { 0.0 } else { self.sum / self.samples.len() as f64 }
+        if self.count == 0 { 0.0 } else { self.sum / self.count as f64 }
     }
 
     /// Largest sample, `0.0` when empty.
     pub fn max(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max)
+        self.max
     }
 
     /// Nearest-rank quantile: the sample at rank `ceil(q * n)` (1-based,
-    /// clamped to `[1, n]`) of the `total_cmp`-sorted samples. `0.0`
+    /// clamped to `[1, n]`) of the `total_cmp`-sorted window. `0.0`
     /// when empty. `q` is a fraction, e.g. `0.95`.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.samples.is_empty() {
@@ -93,7 +114,8 @@ impl Histogram {
         &self.counts
     }
 
-    /// The raw samples, in observation order.
+    /// The kept samples: in observation order until the window is full,
+    /// in slot order after.
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
@@ -115,6 +137,21 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.max(), 5.0);
         assert!((h.mean() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn only_the_latest_window_is_kept_while_totals_cover_everything() {
+        let mut h = Histogram::new(&[0.5]);
+        h.observe(1e9); // leaves the window, stays in count/sum/max/buckets
+        for _ in 0..SAMPLE_WINDOW {
+            h.observe(0.25);
+        }
+        assert_eq!(h.samples().len(), SAMPLE_WINDOW);
+        assert_eq!(h.quantile(1.0), 0.25);
+        assert_eq!(h.count(), SAMPLE_WINDOW as u64 + 1);
+        assert_eq!(h.max(), 1e9);
+        assert_eq!(h.sum(), 1e9 + 0.25 * SAMPLE_WINDOW as f64);
+        assert_eq!(h.bucket_counts(), &[SAMPLE_WINDOW as u64, 1]);
     }
 
     #[test]

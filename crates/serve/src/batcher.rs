@@ -1,30 +1,26 @@
-//! Dynamic-batching policy and the worker start gate.
+//! Batching policy and the worker start gate.
 //!
-//! The batcher is the serving layer's latency/throughput knob (the same
-//! control Triton exposes as *max batch size* + *max queue delay*): a
-//! dispatch takes whatever is queued, but if fewer than `max_batch`
-//! studies are waiting it holds the batch open up to `max_delay` so
-//! near-simultaneous arrivals coalesce into one GEMM-friendly unit of
-//! work. `max_delay = 0` degenerates to take-what's-there batching;
-//! a large `max_delay` maximizes batch occupancy at the cost of p50.
+//! A dispatch takes what is queued, up to `max_batch`, the moment a
+//! pipeline is free; nothing is held back to let a batch fill. Batches
+//! grow by themselves when arrivals outpace a pipeline and are batches
+//! of one on an idle server. A coalescing window would only pay once a
+//! batch runs as one N>1 forward pass; today a pipeline enhances a
+//! batch's studies one after another (DESIGN.md §10).
 
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 use crate::sync::{lock, wait, RANK_GATE};
 
-/// Coalescing policy for one dispatch.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Batch-forming policy for one dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Largest batch a single dispatch may carry.
     pub max_batch: usize,
-    /// How long a non-full batch waits for stragglers.
-    pub max_delay: Duration,
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        BatchPolicy { max_batch: 8, max_delay: Duration::from_millis(2) }
+        BatchPolicy { max_batch: 8 }
     }
 }
 
@@ -63,26 +59,43 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
+    use crate::broker::{Broker, BrokerCfg};
+    use crate::metrics::ServeMetrics;
+    use crate::request::{Priority, ServeRequest};
+    use cc19_tensor::Tensor;
     use std::sync::Arc;
 
+    /// Queue N behind a closed gate (nothing dispatches), open it: the
+    /// dispatcher forms `ceil(N / max_batch)` batches, full ones first,
+    /// and never takes a lower class while a higher one is queued.
     #[test]
-    fn gate_blocks_until_opened() {
+    fn gated_backlog_drains_in_full_batches_in_strict_class_order() {
+        const N: usize = 19;
+        let policy = BatchPolicy::default();
+        let cfg = BrokerCfg { queue_bound: N, ..BrokerCfg::default() };
+        let broker = Arc::new(Broker::new(cfg, ServeMetrics::new()));
         let gate = Arc::new(Gate::new(false));
-        let g = Arc::clone(&gate);
-        let h = std::thread::spawn(move || {
+        let (b, g) = (Arc::clone(&broker), Arc::clone(&gate));
+        let dispatcher = std::thread::spawn(move || {
             g.wait_open();
-            42
+            std::iter::from_fn(|| b.pop_batch(policy))
+                .map(|batch| batch.iter().map(|j| j.priority.class()).collect())
+                .collect::<Vec<Vec<usize>>>()
         });
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!h.is_finished(), "worker must hold at the gate");
+        let (tx, _rx) = crossbeam::channel::unbounded();
+        for i in 0..N {
+            let priority = Priority::DISPATCH_ORDER[2 - i % 3]; // lowest class first
+            let req = ServeRequest { volume: Tensor::zeros([2, 4, 4]), priority, deadline: None };
+            broker.submit(req, tx.clone()).unwrap();
+        }
+        assert_eq!(broker.depth(), N, "the closed gate holds the dispatcher");
+        broker.close(); // queued work is still served; then the dispatcher ends
         gate.open();
-        assert_eq!(h.join().unwrap(), 42);
-    }
-
-    #[test]
-    fn default_policy_is_sane() {
-        let p = BatchPolicy::default();
-        assert!(p.max_batch >= 2);
-        assert!(p.max_delay > Duration::ZERO);
+        let batches = dispatcher.join().unwrap();
+        let sizes: Vec<usize> = batches.iter().map(Vec::len).collect();
+        assert_eq!(sizes.len(), N.div_ceil(policy.max_batch), "{sizes:?}");
+        assert!(sizes[..sizes.len() - 1].iter().all(|&n| n == policy.max_batch), "{sizes:?}");
+        let classes = batches.concat();
+        assert!(classes.windows(2).all(|w| w[0] <= w[1]), "class order inverted: {classes:?}");
     }
 }

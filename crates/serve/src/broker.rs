@@ -6,11 +6,12 @@
 //! the queue can never grow without bound, and clients learn about
 //! overload at the edge instead of via timeouts. Dispatch drains
 //! strictly by class (`stat` → `urgent` → `routine`; priorities never
-//! invert) and earliest-deadline-first within a class, with dispatch
-//! batching delegated to the [`BatchPolicy`] coalescing window.
+//! invert) and earliest-deadline-first within a class; a dispatch takes
+//! what is queued, up to [`BatchPolicy::max_batch`], without waiting for
+//! more.
 
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::Sender;
 
@@ -19,7 +20,7 @@ use cc19_obs::TraceCtx;
 use crate::batcher::BatchPolicy;
 use crate::metrics::ServeMetrics;
 use crate::request::{Priority, Rejected, ServeRequest, ServeResponse};
-use crate::sync::{lock, wait, wait_timeout, RANK_BROKER_INNER};
+use crate::sync::{lock, wait, RANK_BROKER_INNER};
 
 /// Broker tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,21 +133,9 @@ impl Broker {
         reply: Sender<ServeResponse>,
         link: Option<TraceCtx>,
     ) -> Result<u64, Rejected> {
-        let dims = req.volume.dims();
-        if dims.len() != 3 || dims.contains(&0) {
-            let why = Rejected::Invalid(format!("expected non-empty (D,H,W) volume, got {dims:?}"));
+        if let Err(why) = req.screen(self.cfg.est_service) {
             self.metrics.on_reject(&why);
             return Err(why);
-        }
-        if let Some(budget) = req.deadline {
-            if budget < self.cfg.est_service {
-                let why = Rejected::DeadlineImpossible {
-                    deadline: budget,
-                    est_service: self.cfg.est_service,
-                };
-                self.metrics.on_reject(&why);
-                return Err(why);
-            }
         }
         let now = self.metrics.now_ns();
         let mut inner = lock(&self.inner, &RANK_BROKER_INNER);
@@ -189,85 +178,47 @@ impl Broker {
         Ok(id)
     }
 
-    /// Block until work is available, coalesce per `policy`, and return
-    /// the next batch in strict priority order. Returns `None` once the
-    /// broker is closed **and** drained (graceful shutdown: queued work
-    /// is still served after [`Broker::close`]).
+    /// Block until work is available, then return what is queued — up to
+    /// `policy.max_batch` jobs, in strict priority order — without waiting
+    /// for the batch to fill. Returns `None` once the broker is closed
+    /// **and** drained (graceful shutdown: queued work is still served
+    /// after [`Broker::close`]).
     pub fn pop_batch(&self, policy: BatchPolicy) -> Option<Vec<Job>> {
         let mut inner = lock(&self.inner, &RANK_BROKER_INNER);
-        loop {
-            // Wait for the first job (or closed+empty).
-            loop {
-                if inner.depth > 0 {
-                    break;
-                }
-                if inner.closed {
-                    return None;
-                }
-                inner = wait(&self.arrived, inner);
+        while inner.depth == 0 {
+            if inner.closed {
+                return None;
             }
-            // Queue wait ends here; everything between this read and the
-            // dispatch read below is batch-formation delay.
-            let t_pop = self.metrics.now_ns();
-            // Coalescing window: give the batch max_delay to fill up to
-            // max_batch (the latency/throughput knob). A closed broker
-            // skips the wait — drain as fast as possible. This window
-            // deliberately stays on `std::time::Instant`: it bounds a
-            // real condvar wait, which a frozen test clock could never
-            // advance (deterministic harnesses use `max_batch: 1` or the
-            // pause gate instead, so the window never engages). The waits
-            // release the lock, so a concurrent pipeline may steal the
-            // queued work; an empty drain below just loops back.
-            let window_start = Instant::now();
-            while inner.depth < policy.max_batch && !inner.closed {
-                let elapsed = window_start.elapsed();
-                if elapsed >= policy.max_delay {
-                    break;
-                }
-                let (guard, timed_out) =
-                    wait_timeout(&self.arrived, inner, policy.max_delay - elapsed);
-                inner = guard;
-                if timed_out.timed_out() {
-                    break;
-                }
-            }
-            // Drain strictly by class; within a class the queue is
-            // already EDF-sorted. Highest class first means priorities
-            // never invert at dispatch.
-            let mut batch = Vec::new();
-            for class in inner.classes.iter_mut() {
-                while batch.len() < policy.max_batch && !class.is_empty() {
-                    batch.push(class.remove(0));
-                }
-                if batch.len() >= policy.max_batch {
-                    break;
-                }
-            }
-            if batch.is_empty() {
-                continue;
-            }
-            inner.depth -= batch.len();
-            if inner.depth > 0 {
-                // Leftover work: wake another pipeline immediately.
-                self.arrived.notify_one();
-            }
-            drop(inner);
-            self.metrics.on_batch(batch.len());
-            // Record the queue/batch segments so they tile each trace:
-            // queue = admission → pop, batch = pop → dispatch. A job that
-            // arrived inside the coalescing window (submitted after
-            // `t_pop`) gets a zero-width queue span instead of an
-            // underflowed one.
-            let t_dispatch = self.metrics.now_ns();
-            let reg = self.metrics.registry();
-            for job in batch.iter_mut() {
-                let popped = t_pop.max(job.submitted);
-                reg.trace_child(job.trace, "serve.queue", job.submitted, popped);
-                reg.trace_child(job.trace, "serve.batch", popped, t_dispatch.max(popped));
-                job.t_dispatch = t_dispatch.max(popped);
-            }
-            return Some(batch);
+            inner = wait(&self.arrived, inner);
         }
+        // Queue wait ends here; batch formation is just the drain below.
+        let t_pop = self.metrics.now_ns();
+        // Drain strictly by class; within a class the queue is already
+        // EDF-sorted. Highest class first means priorities never invert
+        // at dispatch. The lock is held since the depth check, so the
+        // batch is never empty.
+        let mut batch = Vec::new();
+        for class in inner.classes.iter_mut() {
+            let take = class.len().min(policy.max_batch - batch.len());
+            batch.extend(class.drain(..take));
+        }
+        inner.depth -= batch.len();
+        if inner.depth > 0 {
+            // Leftover work: wake another pipeline immediately.
+            self.arrived.notify_one();
+        }
+        drop(inner);
+        self.metrics.on_batch(batch.len());
+        // Record the queue/batch segments so they tile each trace:
+        // queue = admission → pop, batch = pop → dispatch.
+        let t_dispatch = self.metrics.now_ns();
+        let reg = self.metrics.registry();
+        for job in batch.iter_mut() {
+            reg.trace_child(job.trace, "serve.queue", job.submitted, t_pop);
+            reg.trace_child(job.trace, "serve.batch", t_pop, t_dispatch);
+            job.t_dispatch = t_dispatch;
+        }
+        Some(batch)
     }
 
     /// Stop admitting; wake all dispatchers so they can drain and exit.
@@ -294,10 +245,6 @@ mod tests {
             BrokerCfg { queue_bound: bound, est_service: Duration::from_millis(5) },
             ServeMetrics::new(),
         )
-    }
-
-    fn instant_policy(max_batch: usize) -> BatchPolicy {
-        BatchPolicy { max_batch, max_delay: Duration::ZERO }
     }
 
     #[test]
@@ -343,31 +290,11 @@ mod tests {
             b.submit(req(Priority::Urgent, Some(Duration::from_secs(1))), tx.clone()).unwrap();
         let s0 = b.submit(req(Priority::Stat, None), tx.clone()).unwrap();
         let u_none = b.submit(req(Priority::Urgent, None), tx).unwrap();
-        let batch = b.pop_batch(instant_policy(16)).unwrap();
+        let batch = b.pop_batch(BatchPolicy { max_batch: 16 }).unwrap();
         let order: Vec<u64> = batch.iter().map(|j| j.id).collect();
         // stat first, then urgent EDF (1s before 60s before no-deadline),
         // routine last.
         assert_eq!(order, vec![s0, u_soon, u_late, u_none, r0]);
-    }
-
-    #[test]
-    fn max_batch_truncates_without_priority_inversion() {
-        let b = broker(16);
-        let (tx, _rx) = unbounded();
-        for _ in 0..3 {
-            b.submit(req(Priority::Routine, None), tx.clone()).unwrap();
-        }
-        for _ in 0..2 {
-            b.submit(req(Priority::Stat, None), tx.clone()).unwrap();
-        }
-        let batch = b.pop_batch(instant_policy(3)).unwrap();
-        assert_eq!(batch.len(), 3);
-        assert_eq!(
-            batch.iter().filter(|j| j.priority == Priority::Stat).count(),
-            2,
-            "all stat work dispatches before any routine"
-        );
-        assert_eq!(b.depth(), 2);
     }
 
     #[test]
@@ -377,25 +304,8 @@ mod tests {
         b.submit(req(Priority::Routine, None), tx.clone()).unwrap();
         b.close();
         assert_eq!(b.submit(req(Priority::Stat, None), tx).unwrap_err(), Rejected::ShuttingDown);
-        let batch = b.pop_batch(instant_policy(4)).unwrap();
+        let batch = b.pop_batch(BatchPolicy { max_batch: 4 }).unwrap();
         assert_eq!(batch.len(), 1, "queued work is served during drain");
-        assert!(b.pop_batch(instant_policy(4)).is_none());
-    }
-
-    #[test]
-    fn coalescing_window_batches_late_arrivals() {
-        use std::sync::Arc;
-        let b = Arc::new(broker(8));
-        let (tx, _rx) = unbounded();
-        b.submit(req(Priority::Routine, None), tx.clone()).unwrap();
-        let b2 = Arc::clone(&b);
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            b2.submit(req(Priority::Routine, None), tx).unwrap();
-        });
-        let policy = BatchPolicy { max_batch: 2, max_delay: Duration::from_millis(500) };
-        let batch = b.pop_batch(policy).unwrap();
-        h.join().unwrap();
-        assert_eq!(batch.len(), 2, "second arrival joined within the delay window");
+        assert!(b.pop_batch(BatchPolicy { max_batch: 4 }).is_none());
     }
 }

@@ -48,6 +48,7 @@ use computecovid19::framework::Framework;
 
 use crate::request::{Rejected, ServeRequest};
 use crate::server::{PendingDiagnosis, ServerCfg};
+use crate::sync::Doorbell;
 use crate::worker::FrameworkFactory;
 
 pub mod ring;
@@ -84,11 +85,19 @@ pub struct ClusterCfg {
     /// Deterministic fault plan applied to every router↔worker link,
     /// including scheduled worker kills.
     pub faults: FaultPlan,
-    /// Retry/backoff policy for the byte links.
+    /// Only `hard_cap` is read: a client's longest wait for admission.
     pub timeouts: TimeoutCfg,
     /// Heartbeat staleness window after which a connected-but-silent
     /// worker is declared dead.
     pub liveness: Duration,
+}
+
+impl ClusterCfg {
+    /// Longest an idle router or node loop sleeps before it heartbeats
+    /// and sweeps for stale workers. No request ever waits on it.
+    pub(crate) fn tick(&self) -> Duration {
+        self.liveness / 4
+    }
 }
 
 impl Default for ClusterCfg {
@@ -229,9 +238,25 @@ impl Default for ClusterMetrics {
     }
 }
 
+/// The router's command queue and its doorbell: queue, then ring.
+#[derive(Clone)]
+struct CmdTx {
+    tx: Sender<Cmd>,
+    bell: Arc<Doorbell>,
+}
+
+impl CmdTx {
+    /// `false` if the router is gone.
+    fn send(&self, cmd: Cmd) -> bool {
+        let sent = self.tx.send(cmd).is_ok();
+        self.bell.ring();
+        sent
+    }
+}
+
 /// A running sharded serve cluster (router thread + worker nodes).
 pub struct ServeCluster {
-    cmd_tx: Sender<Cmd>,
+    cmd_tx: CmdTx,
     handle: Option<JoinHandle<()>>,
     metrics: ClusterMetrics,
     hard_cap: Duration,
@@ -275,9 +300,11 @@ impl ServeCluster {
             return Err(invalid("worker config needs at least one pipeline and max_batch >= 1"));
         }
         let hard_cap = cfg.timeouts.hard_cap;
-        let (cmd_tx, cmd_rx) = unbounded();
+        let (tx, cmd_rx) = unbounded();
+        let cmd_tx = CmdTx { tx, bell: Arc::new(Doorbell::default()) };
         let factory: FrameworkFactory = Arc::new(factory);
-        let router = Router::new(cfg, factory, metrics.clone(), cmd_rx)?;
+        let router =
+            Router::new(cfg, factory, metrics.clone(), cmd_rx, Arc::clone(&cmd_tx.bell))?;
         let handle = std::thread::Builder::new()
             .name("cc19-cluster-router".to_string())
             .spawn(move || router.run())?;
@@ -295,7 +322,7 @@ impl ServeCluster {
     /// it immediately owns its key range.
     pub fn join_worker(&self) -> io::Result<usize> {
         let (tx, rx) = unbounded();
-        if self.cmd_tx.send(Cmd::Join { decision: tx }).is_err() {
+        if !self.cmd_tx.send(Cmd::Join { decision: tx }) {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "cluster router is gone"));
         }
         match rx.recv() {
@@ -312,7 +339,7 @@ impl ServeCluster {
     /// Graceful shutdown: stop admitting, drain in-flight work, stop
     /// every worker, and return the final metrics.
     pub fn shutdown(mut self) -> ClusterMetrics {
-        let _ = self.cmd_tx.send(Cmd::Close);
+        self.cmd_tx.send(Cmd::Close);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -323,7 +350,7 @@ impl ServeCluster {
 /// Cluster submission handle.
 #[derive(Clone)]
 pub struct ClusterClient {
-    cmd_tx: Sender<Cmd>,
+    cmd_tx: CmdTx,
     hard_cap: Duration,
 }
 
@@ -352,11 +379,8 @@ impl ClusterClient {
     ) -> Result<PendingDiagnosis, Rejected> {
         let (reply_tx, reply_rx) = unbounded();
         let (dec_tx, dec_rx) = unbounded();
-        if self
-            .cmd_tx
-            .send(Cmd::Submit { study_id, req, reply: reply_tx, decision: dec_tx, link })
-            .is_err()
-        {
+        let cmd = Cmd::Submit { study_id, req, reply: reply_tx, decision: dec_tx, link };
+        if !self.cmd_tx.send(cmd) {
             return Err(Rejected::ShuttingDown);
         }
         match dec_rx.recv_timeout(self.hard_cap) {

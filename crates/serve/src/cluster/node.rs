@@ -1,7 +1,10 @@
 //! A worker node: one single-node [`Server`] wrapped in a byte-link
 //! event loop.
 //!
-//! The loop heartbeats on every iteration (so the router's staleness
+//! The loop sleeps on one [`Doorbell`] that both of its event sources
+//! ring — the router's dispatch link (each send, and the hang-up) and
+//! the local server (each response) — so nothing waits for a poll. Each
+//! pass heartbeats (at least every `tick`, so the router's staleness
 //! sweep only fires for genuinely hung workers), pulls dispatches off
 //! the reliable link, submits them to the local server, and forwards
 //! completed responses back **in dispatch order** — FIFO forwarding
@@ -30,55 +33,47 @@ use crossbeam::channel::RecvTimeoutError;
 use crate::cluster::proto::{self, Dispatch};
 use crate::metrics::ServeMetrics;
 use crate::server::{PendingDiagnosis, Server, ServerCfg};
+use crate::sync::Doorbell;
 use crate::worker::FrameworkFactory;
 
-/// Idle-wait bound per loop iteration. Far below any sane liveness
-/// window, so an idle worker still heartbeats many times per window.
-const IDLE_WAIT: Duration = Duration::from_millis(20);
-
-/// Poll bound on the oldest pending local response while busy.
-const BUSY_POLL: Duration = Duration::from_millis(1);
-
-/// Spawn a worker node thread serving dispatches from `dispatch_rx` and
-/// replying on `reply_tx`, heartbeating rank `node` on `hb`.
-/// `kill_after` is the fault plan's scheduled silent death for this
-/// node: die upon receiving dispatch number `kill_after` (0-based).
-pub(crate) fn spawn_node(
-    node: usize,
-    cfg: ServerCfg,
-    factory: FrameworkFactory,
-    dispatch_rx: ByteRx,
-    reply_tx: ByteTx,
-    hb: Arc<Cluster>,
-    kill_after: Option<usize>,
-) -> io::Result<JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name(format!("cc19-cluster-node-{node}"))
-        .spawn(move || node_loop(node, cfg, factory, dispatch_rx, reply_tx, hb, kill_after))
+/// One worker node's wiring: it serves dispatches from `dispatch_rx`,
+/// replies on `reply_tx` and heartbeats rank `id` on `hb`, at least
+/// every `tick`. `bell` is rung by `dispatch_rx`'s sender and by the
+/// local server. `kill_after` is the fault plan's scheduled silent
+/// death: die upon receiving dispatch number `kill_after` (0-based).
+pub(crate) struct Node {
+    pub(crate) id: usize,
+    pub(crate) dispatch_rx: ByteRx,
+    pub(crate) reply_tx: ByteTx,
+    pub(crate) bell: Arc<Doorbell>,
+    pub(crate) hb: Arc<Cluster>,
+    pub(crate) tick: Duration,
+    pub(crate) kill_after: Option<usize>,
 }
 
-fn node_loop(
-    node: usize,
+/// Spawn `node`'s thread around a local server built from `cfg` and
+/// `factory`.
+pub(crate) fn spawn_node(
+    node: Node,
     cfg: ServerCfg,
     factory: FrameworkFactory,
-    mut dispatch_rx: ByteRx,
-    mut reply_tx: ByteTx,
-    hb: Arc<Cluster>,
-    kill_after: Option<usize>,
-) {
+) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name(format!("cc19-cluster-node-{}", node.id))
+        .spawn(move || node_loop(node, cfg, factory))
+}
+
+fn node_loop(node: Node, cfg: ServerCfg, factory: FrameworkFactory) {
+    let Node { id, mut dispatch_rx, mut reply_tx, bell, hb, tick, kill_after } = node;
     // Hold the node's own registry so completed requests' span subtrees
     // can be drained (`trace_take`) and shipped home in reply frames.
     let metrics = ServeMetrics::new();
     let reg = Arc::clone(metrics.registry());
-    let server = match Server::start_with_metrics(cfg, move || factory(), metrics) {
+    let server = match Server::start_with_doorbell(cfg, factory, metrics, Some(bell.clone())) {
         Ok(s) => s,
-        Err(_) => {
-            // Could not even start (thread-spawn exhaustion). Dropping
-            // the links is the death signal; the router re-routes.
-            drop(reply_tx);
-            drop(dispatch_rx);
-            return;
-        }
+        // Could not even start (thread-spawn exhaustion). Dropping the
+        // links on return is the death signal; the router re-routes.
+        Err(_) => return,
     };
     let client = server.client();
     let mut pendings: VecDeque<(u64, u64, PendingDiagnosis)> = VecDeque::new();
@@ -86,17 +81,11 @@ fn node_loop(
     let mut draining = false;
 
     'outer: loop {
-        hb.beat(node);
+        hb.beat(id);
 
-        // Pull dispatches: block briefly when idle (bounded, so the
-        // heartbeat keeps ticking), drain without blocking when busy.
-        loop {
-            let frame = if pendings.is_empty() && !draining {
-                dispatch_rx.recv_wait(IDLE_WAIT)
-            } else {
-                dispatch_rx.try_recv()
-            };
-            match frame {
+        // Pull every dispatch the link can deliver right now.
+        while !draining {
+            match dispatch_rx.try_recv() {
                 Ok(Some(payload)) => match proto::decode_dispatch(&payload) {
                     Ok(Dispatch::Request { req_id, ctx, req }) => {
                         if kill_after == Some(received) {
@@ -119,11 +108,8 @@ fn node_loop(
                     Err(_) => {}
                 },
                 Ok(None) => break,
-                Err(_) => {
-                    // Router hung up: serve what we have, then exit.
-                    draining = true;
-                    break;
-                }
+                // Router hung up: serve what we have, then exit.
+                Err(_) => draining = true,
             }
         }
 
@@ -132,7 +118,7 @@ fn node_loop(
         // router can graft it under its dispatch span.
         while let Some((req_id, trace_id, p)) = pendings.front() {
             let (req_id, trace_id) = (*req_id, *trace_id);
-            match p.wait_timeout(BUSY_POLL) {
+            match p.wait_timeout(Duration::ZERO) {
                 Ok(resp) => {
                     let spans = reg.trace_take(trace_id);
                     let bytes = match &resp.result {
@@ -143,6 +129,8 @@ fn node_loop(
                     pendings.pop_front();
                 }
                 Err(RecvTimeoutError::Timeout) => break,
+                // A pipeline that died without answering rings nothing;
+                // this is seen on the next wake-up.
                 Err(RecvTimeoutError::Disconnected) => {
                     let spans = reg.trace_take(trace_id);
                     reply_tx
@@ -155,6 +143,7 @@ fn node_loop(
         if draining && pendings.is_empty() {
             break;
         }
+        bell.wait(tick);
     }
 
     // Links first — for a killed node this *is* the crash as the router

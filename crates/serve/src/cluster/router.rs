@@ -6,6 +6,11 @@
 //! locking and every decision is sequentially ordered (which is what
 //! makes the chaos harness and the deterministic bench assertable).
 //!
+//! The thread sleeps on one [`Doorbell`] that every event source rings
+//! once its event is visible: a client after queueing a [`Cmd`], a
+//! worker's reply link after each send and when it hangs up. The wait's
+//! time-out ([`ClusterCfg::tick`]) only serves the staleness sweep.
+//!
 //! **Exactly-once argument** (DESIGN.md §14): every accepted request
 //! gets a unique `req_id` and an entry in the `inflight` dispatch
 //! table. The *only* place a client reply is sent is the spot where
@@ -33,17 +38,14 @@ use cc19_obs::{Counter, SpanStatus, TraceCtx};
 
 use computecovid19::framework::Framework;
 
-use crate::cluster::node::spawn_node;
+use crate::cluster::node::{spawn_node, Node};
 use crate::cluster::proto::{self, Reply};
 use crate::cluster::ring::HashRing;
 use crate::cluster::weights;
 use crate::cluster::{ClusterCfg, ClusterMetrics};
 use crate::request::{Rejected, ServeRequest, ServeResponse};
+use crate::sync::Doorbell;
 use crate::worker::FrameworkFactory;
-
-/// How long the router blocks on the command channel per loop
-/// iteration before polling reply links and heartbeats.
-const CMD_WAIT: Duration = Duration::from_micros(500);
 
 /// Client/front-end → router commands.
 pub(super) enum Cmd {
@@ -113,6 +115,8 @@ pub(super) struct Router {
     /// snapshotted; `Some(None)` = the framework has no enhancer).
     canonical: Option<Option<Arc<Checkpoint>>>,
     cmd_rx: Receiver<Cmd>,
+    /// Rung by clients and by every worker's reply link.
+    bell: Arc<Doorbell>,
 }
 
 impl Router {
@@ -125,6 +129,7 @@ impl Router {
         factory: FrameworkFactory,
         metrics: ClusterMetrics,
         cmd_rx: Receiver<Cmd>,
+        bell: Arc<Doorbell>,
     ) -> io::Result<Router> {
         let hb = Cluster::standalone(cfg.max_workers);
         // Slots beyond the initial membership are not workers yet;
@@ -144,6 +149,7 @@ impl Router {
             factory,
             metrics,
             cmd_rx,
+            bell,
         };
         for node in 0..router.cfg.workers {
             let slot = router.spawn_worker(node, Arc::clone(&router.factory))?;
@@ -159,19 +165,26 @@ impl Router {
         // Link ranks: workers use their node id, the router sits one
         // past the largest possible worker id.
         let router_rank = self.cfg.max_workers;
-        let (tx, node_rx) = byte_link(router_rank, node, self.cfg.faults, self.cfg.timeouts);
-        let (node_tx, rx) = byte_link(node, router_rank, self.cfg.faults, self.cfg.timeouts);
+        let (faults, reg) = (self.cfg.faults, cc19_obs::global());
+        let (mut tx, dispatch_rx) = byte_link(router_rank, node, faults, reg);
+        let (mut reply_tx, rx) = byte_link(node, router_rank, faults, reg);
+        // Each direction wakes its receiver's loop.
+        let node_bell = Arc::new(Doorbell::default());
+        let (to_node, to_router) = (Arc::clone(&node_bell), Arc::clone(&self.bell));
+        tx.on_send(move || to_node.ring());
+        reply_tx.on_send(move || to_router.ring());
         let mut worker_cfg = self.cfg.worker;
         worker_cfg.start_paused = false; // a paused replica would deadlock the cluster
-        let handle = spawn_node(
-            node,
-            worker_cfg,
-            factory,
-            node_rx,
-            node_tx,
-            Arc::clone(&self.hb),
-            self.cfg.faults.kill_step(node),
-        )?;
+        let wiring = Node {
+            id: node,
+            dispatch_rx,
+            reply_tx,
+            bell: node_bell,
+            hb: Arc::clone(&self.hb),
+            tick: self.cfg.tick(),
+            kill_after: self.cfg.faults.kill_step(node),
+        };
+        let handle = spawn_node(wiring, worker_cfg, factory)?;
         let node_label = node.to_string();
         let dispatched = self
             .metrics
@@ -183,18 +196,19 @@ impl Router {
     /// The router event loop; consumes `self` and runs until closed and
     /// drained, then gracefully stops the surviving workers.
     pub(super) fn run(mut self) {
+        let tick = self.cfg.tick();
         loop {
-            match self.cmd_rx.recv_timeout(CMD_WAIT) {
-                Ok(cmd) => {
-                    self.handle_cmd(cmd);
-                    while let Some(cmd) = self.cmd_rx.try_recv() {
-                        self.handle_cmd(cmd);
+            loop {
+                match self.cmd_rx.recv_timeout(Duration::ZERO) {
+                    Ok(cmd) => self.handle_cmd(cmd),
+                    // Every handle dropped without an explicit Close
+                    // (nothing rings for that; seen on the next tick):
+                    // treat as Close so in-flight work still drains.
+                    Err(end) => {
+                        self.closed |= end == RecvTimeoutError::Disconnected;
+                        break;
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {}
-                // Every handle dropped without an explicit Close: treat
-                // as Close so in-flight work still drains.
-                Err(RecvTimeoutError::Disconnected) => self.closed = true,
             }
 
             // Reply fan-in. A link error here is the primary death
@@ -233,6 +247,8 @@ impl Router {
             if self.closed && self.inflight.is_empty() {
                 break;
             }
+            // Returns at once for anything that arrived during this pass.
+            self.bell.wait(tick);
         }
 
         // Graceful stop: ask survivors to drain, drop every link (the
@@ -286,20 +302,7 @@ impl Router {
         if self.closed {
             return Err(Rejected::ShuttingDown);
         }
-        let dims = req.volume.dims();
-        if dims.len() != 3 || dims.contains(&0) {
-            return Err(Rejected::Invalid(format!(
-                "expected a non-empty (D, H, W) volume, got {dims:?}"
-            )));
-        }
-        if let Some(deadline) = req.deadline {
-            if deadline < self.cfg.worker.est_service {
-                return Err(Rejected::DeadlineImpossible {
-                    deadline,
-                    est_service: self.cfg.worker.est_service,
-                });
-            }
-        }
+        req.screen(self.cfg.worker.est_service)?;
         let capacity = self.ring.node_count() * self.cfg.per_worker_inflight;
         if self.inflight.len() >= capacity {
             return Err(Rejected::QueueFull { depth: self.inflight.len(), bound: capacity });

@@ -75,6 +75,22 @@ impl ServeRequest {
     pub fn routine(volume: Tensor) -> Self {
         ServeRequest { volume, priority: Priority::Routine, deadline: None }
     }
+
+    /// The admission screen broker and cluster router share: a non-empty
+    /// `(D, H, W)` volume, and a budget no shorter than `est_service`.
+    pub(crate) fn screen(&self, est_service: Duration) -> Result<(), Rejected> {
+        let dims = self.volume.dims();
+        if dims.len() != 3 || dims.contains(&0) {
+            let why = format!("expected a non-empty (D, H, W) volume, got {dims:?}");
+            return Err(Rejected::Invalid(why));
+        }
+        match self.deadline {
+            Some(deadline) if deadline < est_service => {
+                Err(Rejected::DeadlineImpossible { deadline, est_service })
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// The answer for one accepted request (delivered exactly once).

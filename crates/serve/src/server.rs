@@ -14,6 +14,7 @@ use crate::batcher::{BatchPolicy, Gate};
 use crate::broker::{Broker, BrokerCfg};
 use crate::metrics::ServeMetrics;
 use crate::request::{Rejected, ServeRequest, ServeResponse};
+use crate::sync::Doorbell;
 use crate::worker::{spawn_pipeline, FrameworkFactory};
 
 /// Server tuning knobs.
@@ -24,7 +25,7 @@ pub struct ServerCfg {
     /// Estimated minimum service time for deadline admission screening
     /// (`ZERO` disables the screen).
     pub est_service: Duration,
-    /// Dynamic-batching policy.
+    /// Batch-forming policy.
     pub batch: BatchPolicy,
     /// Number of three-stage worker pipelines.
     pub pipelines: usize,
@@ -90,6 +91,18 @@ impl Server {
     where
         F: Fn() -> Framework + Send + Sync + 'static,
     {
+        Server::start_with_doorbell(cfg, Arc::new(factory), metrics, None)
+    }
+
+    /// [`Server::start_with_metrics`] that also rings `done` after every
+    /// response, so an owner with other events to watch (a cluster
+    /// worker node) can sleep on one doorbell for all of them.
+    pub(crate) fn start_with_doorbell(
+        cfg: ServerCfg,
+        factory: FrameworkFactory,
+        metrics: ServeMetrics,
+        done: Option<Arc<Doorbell>>,
+    ) -> io::Result<Server> {
         if cfg.pipelines < 1 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -107,18 +120,16 @@ impl Server {
             metrics.clone(),
         ));
         let gate = Arc::new(Gate::new(!cfg.start_paused));
-        let factory: FrameworkFactory = Arc::new(factory);
         let mut handles = Vec::new();
         for i in 0..cfg.pipelines {
             handles.extend(spawn_pipeline(
                 i,
                 Arc::clone(&broker),
                 Arc::clone(&gate),
-                cfg.batch,
+                cfg,
                 Arc::clone(&factory),
-                cfg.threshold,
-                cfg.enhance_mode,
                 metrics.clone(),
+                done.clone(),
             )?);
         }
         Ok(Server { broker, gate, metrics, handles })
@@ -247,8 +258,9 @@ mod tests {
         let resp = pending.wait().unwrap();
         let d = resp.result.unwrap();
         assert!((0.0..=1.0).contains(&d.probability));
-        let metrics = server.shutdown();
-        assert_eq!(metrics.snapshot().completed, 1);
+        // Room for eight, dispatched at once and alone (`wait` never times out).
+        let snap = server.shutdown().snapshot();
+        assert_eq!((snap.completed, snap.batches, snap.max_batch), (1, 1, 1));
     }
 
     #[test]

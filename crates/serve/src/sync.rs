@@ -31,6 +31,7 @@
 //! |------|-----------------|------------------------------------|
 //! | 10   | `batcher::open` | [`crate::batcher::Gate`] open flag |
 //! | 20   | `broker::inner` | [`crate::broker::Broker`] queues    |
+//! | 30   | `sync::rung`    | [`Doorbell`] pending-event flag     |
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
 use std::time::Duration;
@@ -49,8 +50,10 @@ pub(crate) struct LockRank {
 
 /// Rank of the batcher gate's open flag (outermost).
 pub(crate) static RANK_GATE: LockRank = LockRank { rank: 10, name: "batcher::open" };
-/// Rank of the broker's queue state (innermost).
+/// Rank of the broker's queue state.
 pub(crate) static RANK_BROKER_INNER: LockRank = LockRank { rank: 20, name: "broker::inner" };
+/// Rank of a doorbell's flag (innermost: a leaf, nothing is taken under it).
+pub(crate) static RANK_DOORBELL: LockRank = LockRank { rank: 30, name: "sync::rung" };
 
 #[cfg(debug_assertions)]
 mod sentinel {
@@ -192,6 +195,35 @@ pub(crate) fn wait_timeout<'a, T>(
     cv.wait_timeout(guard, dur).unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The wake-up of an event loop with several sources (cluster router:
+/// commands, reply links; worker node: dispatch link, local completions).
+/// A source makes its event visible and *then* rings; the loop drains
+/// every source and then waits. The flag stays set until a wait consumes
+/// it, so an event landing mid-drain costs an empty pass, never a sleep.
+#[derive(Debug, Default)]
+pub(crate) struct Doorbell {
+    rung: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Doorbell {
+    /// Record an event and wake the waiter.
+    pub(crate) fn ring(&self) {
+        *lock(&self.rung, &RANK_DOORBELL) = true;
+        self.cv.notify_one();
+    }
+
+    /// Block until rung since the last wait, or until `tick` passes (a
+    /// spurious condvar wake-up is just an early tick).
+    pub(crate) fn wait(&self, tick: Duration) {
+        let mut rung = lock(&self.rung, &RANK_DOORBELL);
+        if !*rung {
+            rung = wait_timeout(&self.cv, rung, tick).0;
+        }
+        *rung = false;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,7 +274,22 @@ mod tests {
     #[test]
     fn rank_table_is_strictly_ascending() {
         assert!(RANK_GATE.rank < RANK_BROKER_INNER.rank);
+        assert!(RANK_BROKER_INNER.rank < RANK_DOORBELL.rank);
         assert_eq!(RANK_GATE.name, "batcher::open");
         assert_eq!(RANK_BROKER_INNER.name, "broker::inner");
+        assert_eq!(RANK_DOORBELL.name, "sync::rung");
+    }
+
+    #[test]
+    fn doorbell_keeps_a_ring_for_the_next_wait_and_wakes_a_sleeper() {
+        const NEVER: Duration = Duration::from_secs(3600); // a lost ring hangs the test
+        let bell = std::sync::Arc::new(Doorbell::default());
+        bell.ring();
+        bell.wait(NEVER); // rung before the wait
+        let b = std::sync::Arc::clone(&bell);
+        let sleeper = std::thread::spawn(move || b.wait(NEVER));
+        bell.ring(); // rung during (or, again, before) the wait
+        assert!(sleeper.join().is_ok());
+        bell.wait(Duration::from_millis(5)); // unrung: runs to its tick
     }
 }

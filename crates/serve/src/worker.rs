@@ -23,12 +23,14 @@ use crossbeam::channel::{unbounded, Sender};
 
 use cc19_obs::{SpanStatus, TraceCtx};
 
-use computecovid19::framework::{EnhanceMode, Enhanced, Framework, Scratch, Segmented};
+use computecovid19::framework::{Diagnosis, Enhanced, Framework, Scratch, Segmented};
 
-use crate::batcher::{BatchPolicy, Gate};
+use crate::batcher::Gate;
 use crate::broker::Broker;
 use crate::metrics::ServeMetrics;
 use crate::request::ServeResponse;
+use crate::server::ServerCfg;
+use crate::sync::Doorbell;
 
 /// Builds one warm `Framework` replica; called once per stage thread.
 pub type FrameworkFactory = Arc<dyn Fn() -> Framework + Send + Sync>;
@@ -47,6 +49,18 @@ struct JobMeta {
     t_submit: u64,
     t_prev: u64,
     reply: Sender<ServeResponse>,
+    /// Rung after the response is sent (a cluster node's wake-up).
+    done: Option<Arc<Doorbell>>,
+}
+
+impl JobMeta {
+    /// Deliver the request's one response, then wake the owner.
+    fn respond(self, result: Result<Diagnosis, String>) {
+        let _ = self.reply.send(ServeResponse { id: self.id, result });
+        if let Some(bell) = &self.done {
+            bell.ring();
+        }
+    }
 }
 
 struct EnhancedJob {
@@ -69,9 +83,7 @@ fn fail(meta: JobMeta, stage: &str, err: impl std::fmt::Display, metrics: &Serve
         now,
         SpanStatus::Failed,
     );
-    let _ = meta
-        .reply
-        .send(ServeResponse { id: meta.id, result: Err(format!("{stage} stage failed: {err}")) });
+    meta.respond(Err(format!("{stage} stage failed: {err}")));
 }
 
 /// Spawn one three-thread pipeline pulling batches from `broker`.
@@ -82,12 +94,12 @@ pub(crate) fn spawn_pipeline(
     index: usize,
     broker: Arc<Broker>,
     gate: Arc<Gate>,
-    policy: BatchPolicy,
+    cfg: ServerCfg,
     factory: FrameworkFactory,
-    threshold: f64,
-    enhance_mode: EnhanceMode,
     metrics: ServeMetrics,
+    done: Option<Arc<Doorbell>>,
 ) -> io::Result<Vec<JoinHandle<()>>> {
+    let ServerCfg { batch: policy, threshold, enhance_mode, .. } = cfg;
     let (seg_tx, seg_rx) = unbounded::<EnhancedJob>();
     let (cls_tx, cls_rx) = unbounded::<SegmentedJob>();
 
@@ -111,6 +123,7 @@ pub(crate) fn spawn_pipeline(
                         t_submit: job.submitted,
                         t_prev: job.t_dispatch,
                         reply: job.reply,
+                        done: done.clone(),
                     };
                     match fw.run_enhance_with(&job.volume, &mut scratch, enhance_mode) {
                         Ok(enh) => {
@@ -173,7 +186,7 @@ pub(crate) fn spawn_pipeline(
                             SpanStatus::Ok,
                         );
                         metrics.on_complete(&d, missed);
-                        let _ = meta.reply.send(ServeResponse { id: meta.id, result: Ok(d) });
+                        meta.respond(Ok(d));
                     }
                     Err(e) => fail(meta, "classify", e, &metrics),
                 }

@@ -40,7 +40,7 @@ fn concurrent_clients_get_exactly_once_bit_identical_answers() {
 
     let cfg = ServerCfg {
         queue_bound: 64,
-        batch: BatchPolicy { max_batch: 4, max_delay: Duration::from_millis(1) },
+        batch: BatchPolicy { max_batch: 4 },
         pipelines: 2,
         threshold: THRESHOLD,
         ..ServerCfg::default()
@@ -178,14 +178,9 @@ fn frozen_clock_makes_serving_latencies_exactly_assertable() {
     let clock = Arc::new(ManualClock::new()); // frozen at t=0
     let reg = Arc::new(Registry::with_clock(clock.clone() as Arc<dyn Clock>));
     let metrics = ServeMetrics::with_registry(Arc::clone(&reg));
-    let cfg = ServerCfg {
-        // max_batch 1 + the pause gate keep the coalescing window (the
-        // one real-time wait in the serving path) out of the picture.
-        batch: BatchPolicy { max_batch: 1, max_delay: Duration::ZERO },
-        start_paused: true,
-        threshold: THRESHOLD,
-        ..ServerCfg::default()
-    };
+    // The pause gate holds both studies in the queue while the test
+    // advances the clock; nothing in the serving path waits on real time.
+    let cfg = ServerCfg { start_paused: true, threshold: THRESHOLD, ..ServerCfg::default() };
     let fw_clock = clock.clone();
     let server = Server::start_with_metrics(
         cfg,
@@ -237,4 +232,7 @@ fn frozen_clock_makes_serving_latencies_exactly_assertable() {
         .find(|h| h.key == "serve_stage_ms{stage=\"queue\"}")
         .expect("queue-stage histogram registered");
     assert_eq!(queue_hist.value.samples(), &[5.0, 5.0]);
+    // Batch formation (pop → dispatch) takes no time on the frozen clock.
+    let spans = reg.trace_records();
+    assert!(spans.iter().filter(|s| s.path == "serve.batch").all(|s| s.end_ns == s.start_ns));
 }

@@ -42,12 +42,6 @@ fn tiny_request(priority: Priority, deadline_ms: Option<u64>) -> ServeRequest {
     }
 }
 
-/// Dispatch policy that never waits, so single-threaded scripts stay
-/// deterministic.
-fn instant(max_batch: usize) -> BatchPolicy {
-    BatchPolicy { max_batch, max_delay: Duration::ZERO }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -90,7 +84,7 @@ proptest! {
                     if queued.is_empty() {
                         continue; // pop_batch would block forever
                     }
-                    let batch = broker.pop_batch(instant(max_batch)).unwrap();
+                    let batch = broker.pop_batch(BatchPolicy { max_batch }).unwrap();
                     prop_assert!(!batch.is_empty());
                     prop_assert!(batch.len() <= max_batch);
                     for job in &batch {
@@ -124,7 +118,7 @@ proptest! {
         // Drain: close, then pop until None — every accepted request
         // must come out exactly once.
         broker.close();
-        while let Some(batch) = broker.pop_batch(instant(4)) {
+        while let Some(batch) = broker.pop_batch(BatchPolicy { max_batch: 4 }) {
             for job in batch {
                 prop_assert!(
                     queued.iter().any(|&(id, _)| id == job.id),
@@ -192,7 +186,7 @@ proptest! {
                     if queued.is_empty() && !closed {
                         continue; // pop_batch would block on an open, empty queue
                     }
-                    match broker.pop_batch(instant(max_batch)) {
+                    match broker.pop_batch(BatchPolicy { max_batch }) {
                         Some(batch) => {
                             for job in batch {
                                 let pos = queued.iter().position(|&id| id == job.id);
@@ -220,7 +214,7 @@ proptest! {
         }
 
         // Drain to None: nothing accepted before the close may strand.
-        while let Some(batch) = broker.pop_batch(instant(4)) {
+        while let Some(batch) = broker.pop_batch(BatchPolicy { max_batch: 4 }) {
             for job in batch {
                 let pos = queued.iter().position(|&id| id == job.id);
                 prop_assert!(pos.is_some(), "drained id {} not in ledger", job.id);
@@ -234,6 +228,6 @@ proptest! {
         ids.sort_unstable();
         ids.dedup();
         prop_assert_eq!(ids.len(), served.len(), "a request drained twice");
-        prop_assert!(broker.pop_batch(instant(4)).is_none(), "drain is terminal");
+        prop_assert!(broker.pop_batch(BatchPolicy { max_batch: 4 }).is_none(), "drain is terminal");
     }
 }

@@ -14,10 +14,9 @@
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use cc19_obs::{Clock, ManualClock, Registry};
-use cc19_serve::{BatchPolicy, Priority, ServeMetrics, ServeRequest, Server, ServerCfg};
+use cc19_serve::{Priority, ServeMetrics, ServeRequest, Server, ServerCfg};
 use cc19_tensor::rng::Xorshift;
 use computecovid19::framework::Framework;
 
@@ -39,7 +38,6 @@ fn serve_smoke_64_requests_zero_lost_batched_metrics() {
     // max-batch assertion below cannot flake on scheduling luck.
     let cfg = ServerCfg {
         queue_bound: REQUESTS as usize,
-        batch: BatchPolicy { max_batch: 8, max_delay: Duration::from_millis(1) },
         pipelines: 1,
         start_paused: true,
         ..ServerCfg::default()

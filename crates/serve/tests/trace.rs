@@ -21,14 +21,12 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use cc19_dist::{FaultConfig, FaultPlan};
 use cc19_obs::trace::{self, SpanRecord};
 use cc19_obs::{Clock, ManualClock, Registry, SpanStatus};
 use cc19_serve::{
-    BatchPolicy, ClusterCfg, ClusterMetrics, ServeCluster, ServeMetrics, ServeRequest, Server,
-    ServerCfg,
+    ClusterCfg, ClusterMetrics, ServeCluster, ServeMetrics, ServeRequest, Server, ServerCfg,
 };
 use computecovid19::framework::Framework;
 
@@ -60,10 +58,7 @@ fn run_single_node() -> (String, Vec<SpanRecord>) {
     let clock: Arc<dyn Clock> = Arc::new(ManualClock::with_tick(TICK));
     let reg = Arc::new(Registry::with_clock(Arc::clone(&clock)));
     let metrics = ServeMetrics::with_registry(Arc::clone(&reg));
-    let cfg = ServerCfg {
-        batch: BatchPolicy { max_batch: 1, max_delay: Duration::ZERO },
-        ..ServerCfg::default()
-    };
+    let cfg = ServerCfg::default();
     let fw_clock = Arc::clone(&clock);
     let server = Server::start_with_metrics(
         cfg,
@@ -125,10 +120,6 @@ fn run_cluster(studies: u64, kill: Option<(usize, usize)>) -> (String, Vec<SpanR
     let metrics = ClusterMetrics::with_registry(Arc::clone(&reg));
     let cfg = ClusterCfg {
         workers: 3,
-        worker: ServerCfg {
-            batch: BatchPolicy { max_batch: 1, max_delay: Duration::ZERO },
-            ..ServerCfg::default()
-        },
         faults: FaultPlan::seeded(1234, FaultConfig { kill, ..FaultConfig::clean() }),
         ..ClusterCfg::default()
     };

@@ -21,7 +21,7 @@ fn main() {
     //    admission queue.
     let cfg = ServerCfg {
         queue_bound: 32,
-        batch: BatchPolicy { max_batch: 4, max_delay: Duration::from_millis(2) },
+        batch: BatchPolicy { max_batch: 4 },
         pipelines: 2,
         ..ServerCfg::default()
     };

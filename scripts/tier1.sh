@@ -181,6 +181,12 @@ if [ "$status" -eq 0 ]; then
 fi
 
 echo
+echo "=== tier-1: no timer on the serve request path ==="
+# The batching window and the router/node polling intervals are deleted
+# knobs (DESIGN.md §10, §14), not defaults to tune back in.
+if grep -rnE 'max_delay|CMD_WAIT|BUSY_POLL' crates/serve/src; then echo "tier-1: A BATCH WINDOW OR POLL INTERVAL IS BACK UNDER crates/serve/src"; status=1; fi
+
+echo
 echo "=== tier-1: static analysis ==="
 # cc19-lint enforces the repo-specific invariants the compiler can't
 # (DESIGN.md §11): determinism (no ambient clocks/RNG in numeric crates
