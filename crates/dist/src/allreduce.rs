@@ -311,6 +311,37 @@ mod tests {
         }
     }
 
+    /// Values whose f32 sum depends on the order they are added in: the
+    /// server must fold the workers in rank order on every run.
+    #[test]
+    fn naive_sum_is_rank_ordered_bit_for_bit() {
+        fn input(rank: usize, i: usize) -> f32 {
+            if rank == 0 { 0.5 } else { [1e8, 1.0, -1e8][(rank + i) % 3] }
+        }
+        let (n, len) = (4, 6);
+        let expect: Vec<f32> = (0..len)
+            .map(|i| (1..n).fold(input(0, i), |acc, r| acc + input(r, i)))
+            .collect();
+        for _ in 0..20 {
+            let handles: Vec<_> = make_star(n)
+                .into_iter()
+                .enumerate()
+                .map(|(rank, mut star)| {
+                    std::thread::spawn(move || {
+                        let mut buf: Vec<f32> = (0..len).map(|i| input(rank, i)).collect();
+                        naive_allreduce(&mut buf, &mut star).unwrap();
+                        buf
+                    })
+                })
+                .collect();
+            for h in handles {
+                let got: Vec<u32> = h.join().unwrap().iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u32> = expect.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want);
+            }
+        }
+    }
+
     #[test]
     fn single_rank_is_identity() {
         let mut rings = make_ring(1);

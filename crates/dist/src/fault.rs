@@ -4,7 +4,7 @@
 //! ring generation)` to a set of fault actions, so a failing chaos run
 //! reproduces exactly from its seed (`CC19_FAULT_SEED` pins it in CI).
 //! Faults model an unreliable wire under the reliability layer in
-//! `transport`:
+//! [`crate::link`]:
 //!
 //! - **drop** — the frame never reaches the receiver's queue (the
 //!   sender-side retransmit buffer still holds it);

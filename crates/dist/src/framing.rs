@@ -1,5 +1,5 @@
 //! Length-prefixed, CRC-framed byte messages — the wire form of the
-//! reliability layer [`crate::transport`] uses in-process, factored out
+//! reliability layer [`crate::link`] uses in-process, factored out
 //! so other subsystems (the `cc19-serve` TCP front end) can reuse the
 //! exact framing instead of reinventing it.
 //!
@@ -33,8 +33,8 @@ pub const MAGIC: [u8; 4] = *b"CC19";
 /// drive a multi-gigabyte allocation.
 pub const MAX_PAYLOAD: usize = 256 << 20;
 
-/// CRC-32 of an `f32` payload's little-endian bytes — the checksum the
-/// in-process transport stamps on every [`crate::transport::Frame`].
+/// CRC-32 of an `f32` payload's little-endian bytes — the checksum every
+/// `Vec<f32>` frame on a [`crate::link`] carries.
 pub fn crc32_f32s(payload: &[f32]) -> u32 {
     let mut bytes = Vec::with_capacity(payload.len() * 4);
     for v in payload {

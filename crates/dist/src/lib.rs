@@ -7,9 +7,14 @@
 //!
 //! This crate provides:
 //!
-//! - [`transport`] — sequence-numbered, CRC-framed point-to-point links
-//!   with timeout/retransmit recovery, heartbeat failure detection, and a
-//!   deterministic fault injector ([`fault`]) for chaos testing;
+//! - [`link`] — the one reliable link: sequence-numbered, CRC-framed
+//!   point-to-point channels over any [`link::Payload`] (`Vec<f32>`
+//!   gradients, `Vec<u8>` serve-cluster RPC bytes) with a retransmit
+//!   buffer, a deterministic fault injector ([`fault`]) for chaos
+//!   testing, a non-blocking receive for event loops and a blocking one
+//!   with jittered-backoff retries;
+//! - [`transport`] — the ring and star topologies built from those
+//!   links, with heartbeat failure detection and ring rebuild;
 //! - [`allreduce`] — a real **ring all-reduce** (reduce-scatter +
 //!   all-gather) over the fault-tolerant transport, plus a naive
 //!   parameter-server reduce for the ablation bench;
@@ -40,7 +45,7 @@ pub use cluster::{ClusterModel, Interconnect};
 pub use error::Error;
 pub use fault::{FaultConfig, FaultKind, FaultPlan};
 pub use framing::WireFrame;
-pub use link::{byte_link, ByteRx, ByteTx};
+pub use link::{link, LinkRx, LinkTx, Payload};
 pub use trainer::{
     train_distributed, train_distributed_ft, CheckpointCfg, DistConfig, DistStats, FtOptions,
 };

@@ -1,6 +1,6 @@
-//! Cached `cc19-obs` counters for the transport layer.
+//! Cached `cc19-obs` counters for the reliable links.
 //!
-//! Every transport holds a [`LinkStats`]: one set of pre-resolved counter
+//! Every link holds a [`LinkStats`]: one set of pre-resolved counter
 //! handles (atomics shared through the registry, so cloning is cheap) plus
 //! the registry clock. The counters make the reliability layer's internal
 //! traffic observable — and exactly testable: with a seeded
@@ -11,9 +11,7 @@ use std::sync::Arc;
 
 use cc19_obs::{Clock, Counter, HistogramHandle, Registry};
 
-use crate::fault::FaultKind;
-
-/// Pre-resolved per-transport observability handles.
+/// Pre-resolved per-link observability handles.
 #[derive(Clone)]
 pub(crate) struct LinkStats {
     /// `dist_faults_injected_total{kind=...}` by fault class.
@@ -63,18 +61,6 @@ impl LinkStats {
             heartbeat_miss: reg.counter("dist_heartbeat_miss_total"),
             allreduce_seconds: reg.histogram("dist_allreduce_seconds"),
             clock: reg.clock(),
-        }
-    }
-
-    /// Count one frame's injected fault actions by class.
-    pub fn record_faults(&self, actions: &[FaultKind]) {
-        for a in actions {
-            match a {
-                FaultKind::Drop => self.drop.inc(),
-                FaultKind::Delay(_) => self.delay.inc(),
-                FaultKind::Duplicate => self.duplicate.inc(),
-                FaultKind::Corrupt => self.corrupt.inc(),
-            }
         }
     }
 }

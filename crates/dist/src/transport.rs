@@ -1,74 +1,46 @@
-//! Fault-tolerant transport over the crossbeam channel fabric.
+//! Ring and star topologies over reliable links, plus ring membership.
 //!
 //! The first version of this crate wired raw `Vec<f32>` buffers straight
-//! through channels; one dropped message deadlocked the ring. This module
-//! interposes a reliability layer modelled on TCP-over-lossy-wire:
+//! through channels; one dropped message deadlocked the ring. Every edge
+//! of both topologies is now a reliable [`crate::link`] — sequence
+//! numbers, CRC-32, a retransmit buffer and seeded fault injection —
+//! and this module adds what a *group* of links needs:
 //!
-//! - every frame carries a **sequence number** and a **CRC-32** of its
-//!   payload, so duplicates and reorders are detected and discarded, and
-//!   corrupted payloads are rejected instead of averaged into gradients;
-//! - the sender keeps each outbound payload in a **retransmit buffer**
-//!   shared with the receiver; when a receive times out (the injected
-//!   "wire" dropped, delayed, or corrupted the frame), the receiver pulls
-//!   the authoritative copy from that buffer after an exponential-backoff
-//!   wait — the in-process analogue of a NACK/retransmit round trip;
-//! - every transport operation updates a per-rank **heartbeat**; a
-//!   receive that exhausts its retry budget consults the heartbeats, and
-//!   only a rank that has been silent past the liveness threshold is
+//! - the receive policy ([`TimeoutCfg`], [`backoff_delay`]) the links'
+//!   blocking receive follows;
+//! - a per-rank **heartbeat** table ([`Cluster`]): every ring receive
+//!   beats, and a receive that exhausts its retry budget consults the
+//!   heartbeats — only a rank silent past the liveness threshold is
 //!   declared dead ([`Error::RankDead`]);
 //! - on a death verdict the first detector **rebuilds the ring** among
-//!   survivors under the cluster lock and bumps the membership
-//!   generation; every other survivor adopts the new endpoints from its
-//!   own error path and the all-reduce restarts from the callers' saved
-//!   gradients.
+//!   survivors under the cluster lock with fresh links and bumps the
+//!   membership generation; every other survivor adopts the new
+//!   endpoints from its own error path and the all-reduce restarts from
+//!   the callers' saved gradients;
+//! - the **star** (parameter server): one uplink and one downlink per
+//!   worker, so the server gathers in rank order and the naive reduce
+//!   sums in a fixed order.
 //!
-//! Fault injection ([`crate::fault::FaultPlan`]) happens on the wire side
-//! only: the retransmit buffer always holds the good copy, which is what
-//! makes recovery exact — a chaos run (without kills) finishes with
-//! weights bit-identical to a fault-free run.
+//! Fault injection happens on the wire side only: the retransmit buffer
+//! always holds the good copy, which is what makes recovery exact — a
+//! chaos run (without kills) finishes with weights bit-identical to a
+//! fault-free run.
 //!
 //! This file is on the cc19-lint panic-surface path: every recoverable
 //! failure must surface as a typed [`Error`], never a panic.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use cc19_obs::lock;
 
 use crate::error::Error;
-use crate::fault::{FaultKind, FaultPlan};
-use crate::framing::crc32_f32s as payload_crc;
+use crate::fault::FaultPlan;
+use crate::link::{link_in, LinkRx, LinkTx};
 use crate::obs::LinkStats;
-
-/// One message on a link: sequence-numbered, checksummed payload.
-#[derive(Debug, Clone)]
-pub struct Frame {
-    /// Sender's global rank.
-    pub src: usize,
-    /// Per-directed-link sequence number.
-    pub seq: u64,
-    /// CRC-32 of the *original* payload bytes (a corrupt fault flips bits
-    /// in the wire copy only, so the mismatch is detectable).
-    pub crc: u32,
-    /// The payload as sent (possibly corrupted in flight).
-    pub payload: Vec<f32>,
-}
-
-/// Sender-side reliability buffer, shared with the receiver of the link.
-type Slot = Arc<Mutex<HashMap<u64, Vec<f32>>>>;
-
-/// Poison-tolerant mutex lock. A panicked *peer* thread (an injected
-/// chaos kill, or a genuine bug on another rank) must not cascade into
-/// this rank's transport: the guarded maps hold plain owned data that
-/// stays valid wherever the panicking thread stopped, so recovering the
-/// inner value is always sound here. Shared with [`crate::link`].
-pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Timeout/retry policy for one transport.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -161,14 +133,8 @@ struct Endpoints {
     pos: usize,
     /// Live rank count for this generation.
     live: usize,
-    /// Global rank of the next live rank.
-    next_rank: usize,
-    /// Global rank of the previous live rank.
-    prev_rank: usize,
-    to_next: Sender<Frame>,
-    next_slot: Slot,
-    from_prev: Receiver<Frame>,
-    prev_slot: Slot,
+    to_next: LinkTx<Vec<f32>>,
+    from_prev: LinkRx<Vec<f32>>,
 }
 
 struct MembershipInner {
@@ -275,31 +241,26 @@ impl Cluster {
     }
 }
 
-/// Build ring links (channel + retransmit slot per directed edge) for the
-/// given ordered membership. Returns per-member endpoints.
-fn build_ring_endpoints(members: &[usize]) -> Vec<Endpoints> {
+/// Build ring links for the given ordered membership in `generation`.
+/// Returns per-member endpoints.
+fn build_ring_endpoints(
+    members: &[usize],
+    generation: u64,
+    faults: FaultPlan,
+    stats: &LinkStats,
+) -> Vec<Endpoints> {
     let m = members.len();
-    let links: Vec<(Sender<Frame>, Receiver<Frame>, Slot)> = (0..m)
-        .map(|_| {
-            let (tx, rx) = unbounded();
-            (tx, rx, Arc::new(Mutex::new(HashMap::new())))
-        })
-        .collect();
-    // link i carries traffic from members[i] to members[(i+1) % m]
-    (0..m)
-        .map(|i| {
-            let prev_link = (i + m - 1) % m;
-            Endpoints {
-                pos: i,
-                live: m,
-                next_rank: members[(i + 1) % m],
-                prev_rank: members[prev_link],
-                to_next: links[i].0.clone(),
-                next_slot: links[i].2.clone(),
-                from_prev: links[prev_link].1.clone(),
-                prev_slot: links[prev_link].2.clone(),
-            }
-        })
+    // link i carries traffic from members[i] to members[(i+1) % m] ...
+    let (to_next, mut from_prev): (Vec<_>, Vec<_>) = (0..m)
+        .map(|i| link_in(members[i], members[(i + 1) % m], generation, faults, stats.clone()))
+        .unzip();
+    // ... so member i receives on link i-1.
+    from_prev.rotate_right(1);
+    to_next
+        .into_iter()
+        .zip(from_prev)
+        .enumerate()
+        .map(|(pos, (to_next, from_prev))| Endpoints { pos, live: m, to_next, from_prev })
         .collect()
 }
 
@@ -313,9 +274,6 @@ pub struct RingTransport {
     cluster: Arc<Cluster>,
     ep: Endpoints,
     generation: u64,
-    send_seq: u64,
-    recv_seq: u64,
-    stash: HashMap<u64, Vec<f32>>,
     faults: FaultPlan,
     t: TimeoutCfg,
     pub(crate) stats: LinkStats,
@@ -349,7 +307,7 @@ pub fn make_ring_in(
     let stats = LinkStats::from_registry(reg);
     let cluster = Cluster::new(n);
     let members: Vec<usize> = (0..n).collect();
-    let transports = build_ring_endpoints(&members)
+    let transports = build_ring_endpoints(&members, 0, faults, &stats)
         .into_iter()
         .enumerate()
         .map(|(rank, ep)| RingTransport {
@@ -357,9 +315,6 @@ pub fn make_ring_in(
             cluster: cluster.clone(),
             ep,
             generation: 0,
-            send_seq: 0,
-            recv_seq: 0,
-            stash: HashMap::new(),
             faults,
             t,
             stats: stats.clone(),
@@ -404,130 +359,18 @@ impl RingTransport {
     /// payload is retained in the retransmit buffer until the receiver
     /// has consumed past it.
     pub fn send_next(&mut self, payload: &[f32]) -> Result<(), Error> {
-        let seq = self.send_seq;
-        self.send_seq += 1;
         self.beat();
-        // Reliability layer: buffer the authoritative copy first.
-        lock(&self.ep.next_slot).insert(seq, payload.to_vec());
-        let crc = payload_crc(payload);
-        let actions = self.faults.decide(self.rank, self.ep.next_rank, seq, self.generation);
-        self.stats.record_faults(&actions);
-        if actions.contains(&FaultKind::Drop) {
-            return Ok(());
-        }
-        let mut wire = payload.to_vec();
-        let mut duplicate = false;
-        for a in &actions {
-            match a {
-                FaultKind::Delay(ms) => std::thread::sleep(Duration::from_millis(*ms)),
-                FaultKind::Corrupt => {
-                    if let Some(v) = wire.first_mut() {
-                        *v = f32::from_bits(v.to_bits() ^ 0x0040_0000);
-                    }
-                }
-                FaultKind::Duplicate => duplicate = true,
-                FaultKind::Drop => {} // handled by the early return above
-            }
-        }
-        let frame = Frame { src: self.rank, seq, crc, payload: wire };
-        if duplicate {
-            let _ = self.ep.to_next.send(frame.clone());
-        }
-        let _ = self.ep.to_next.send(frame);
+        self.ep.to_next.send(payload.to_vec());
         Ok(())
     }
 
     /// Receive the next in-sequence payload from the previous rank,
     /// retrying through injected faults. Errors are recoverable via
-    /// [`RingTransport::recover`] when they name a dead rank.
+    /// [`RingTransport::recover`] when they name a dead rank; a hang-up
+    /// means the predecessor died or adopted a newer generation, and
+    /// `recover` sorts out which.
     pub fn recv_prev(&mut self) -> Result<Vec<f32>, Error> {
-        self.beat();
-        let want = self.recv_seq;
-        if let Some(p) = self.stash.remove(&want) {
-            return Ok(self.deliver(p));
-        }
-        let start = Instant::now();
-        let mut attempt: u32 = 0;
-        loop {
-            if start.elapsed() > self.t.hard_cap {
-                return Err(Error::Timeout { rank: self.rank, peer: self.ep.prev_rank, op: "ring recv" });
-            }
-            let backoff = backoff_delay(
-                &self.t,
-                self.faults.seed(),
-                link_stream(self.ep.prev_rank, self.rank),
-                attempt,
-            );
-            match self.ep.from_prev.recv_timeout(backoff) {
-                Ok(frame) => {
-                    self.beat();
-                    if frame.seq < want {
-                        // Duplicate (or late original after a slot fetch) —
-                        // already consumed, discard.
-                        self.stats.duplicates_discarded.inc();
-                        continue;
-                    }
-                    if payload_crc(&frame.payload) != frame.crc {
-                        // Corrupted on the wire; the retransmit buffer has
-                        // the good copy, fall through to the timeout path.
-                        self.stats.crc_rejects.inc();
-                        attempt += 1;
-                        continue;
-                    }
-                    if frame.seq > want {
-                        // The wire reordered ahead of a lost frame; stash
-                        // and keep waiting for `want`.
-                        self.stats.reorder_stash.inc();
-                        self.stash.insert(frame.seq, frame.payload);
-                        continue;
-                    }
-                    return Ok(self.deliver(frame.payload));
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    self.stats.recv_timeouts.inc();
-                    // NACK/retransmit round trip: pull from the sender's
-                    // reliability buffer if it already sent `want`.
-                    let buffered = lock(&self.ep.prev_slot).get(&want).cloned();
-                    if let Some(p) = buffered {
-                        self.stats.retransmit_pulls.inc();
-                        return Ok(self.deliver(p));
-                    }
-                    self.beat();
-                    attempt += 1;
-                    if attempt >= self.t.retries {
-                        if let Some(dead) = self.cluster.stale_rank(self.rank, self.t.liveness) {
-                            self.stats.heartbeat_miss.inc();
-                            self.stats.rank_dead.inc();
-                            return Err(Error::RankDead { rank: dead });
-                        }
-                        // Everyone still alive: keep waiting (bounded by
-                        // the hard cap) without growing the backoff.
-                        attempt = self.t.retries;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // The predecessor dropped its endpoints: it either
-                    // died or moved to a newer ring generation. Drain the
-                    // buffer one last time, then report it dead; recover()
-                    // sorts out which case it was.
-                    let buffered = lock(&self.ep.prev_slot).get(&want).cloned();
-                    if let Some(p) = buffered {
-                        self.stats.retransmit_pulls.inc();
-                        return Ok(self.deliver(p));
-                    }
-                    self.stats.rank_dead.inc();
-                    return Err(Error::RankDead { rank: self.ep.prev_rank });
-                }
-            }
-        }
-    }
-
-    fn deliver(&mut self, payload: Vec<f32>) -> Vec<f32> {
-        let consumed = self.recv_seq;
-        self.recv_seq += 1;
-        // Prune the sender's buffer up to what we consumed.
-        lock(&self.ep.prev_slot).retain(|&s, _| s > consumed);
-        payload
+        self.ep.from_prev.recv(&self.t, Some(&self.cluster), "ring recv")
     }
 
     /// Attempt to recover from a transport error. Returns `Ok(())` when
@@ -573,7 +416,7 @@ impl RingTransport {
         }
         inner.generation += 1;
         let gen = inner.generation;
-        let eps = build_ring_endpoints(&survivors);
+        let eps = build_ring_endpoints(&survivors, gen, self.faults, &self.stats);
         for slot in inner.pending.iter_mut() {
             *slot = None;
         }
@@ -591,9 +434,6 @@ impl RingTransport {
     fn adopt(&mut self, ep: Endpoints, generation: u64) {
         self.ep = ep; // drops the old endpoints, waking stalled peers
         self.generation = generation;
-        self.send_seq = 0;
-        self.recv_seq = 0;
-        self.stash.clear();
         self.beat();
     }
 }
@@ -608,28 +448,12 @@ impl RingTransport {
 pub struct StarTransport {
     rank: usize,
     n: usize,
-    up_tx: Sender<Frame>,
-    up_slot: Slot,
-    down_rx: Receiver<Frame>,
-    down_slot: Slot,
-    /// Server side (rank 0 only): shared uplink receiver, per-worker
-    /// uplink slots, per-worker downlinks.
-    server: Option<StarServer>,
-    send_seq: u64,
-    recv_seq: u64,
-    faults: FaultPlan,
+    /// Outbound links: the server's downlinks (worker `w` at `w - 1`), or
+    /// a worker's one uplink.
+    to: Vec<LinkTx<Vec<f32>>>,
+    /// Inbound links, laid out like `to`.
+    from: Vec<LinkRx<Vec<f32>>>,
     t: TimeoutCfg,
-    stats: LinkStats,
-}
-
-struct StarServer {
-    up_rx: Receiver<Frame>,
-    up_slots: Vec<Slot>,
-    down: Vec<(Sender<Frame>, Slot)>,
-    /// Next expected uplink seq per worker.
-    expect: Vec<u64>,
-    /// Downlink send seq per worker.
-    down_seq: Vec<u64>,
 }
 
 /// Build fault-free star endpoints with default timeouts.
@@ -650,36 +474,16 @@ pub fn make_star_in(
     reg: &cc19_obs::Registry,
 ) -> Vec<StarTransport> {
     let stats = LinkStats::from_registry(reg);
-    let (up_tx, up_rx) = unbounded();
-    let up_slots: Vec<Slot> = (0..n).map(|_| Arc::new(Mutex::new(HashMap::new()))).collect();
-    let down: Vec<(Sender<Frame>, Receiver<Frame>, Slot)> = (0..n)
-        .map(|_| {
-            let (tx, rx) = unbounded();
-            (tx, rx, Arc::new(Mutex::new(HashMap::new())))
-        })
-        .collect();
-    (0..n)
-        .map(|rank| StarTransport {
-            rank,
-            n,
-            up_tx: up_tx.clone(),
-            up_slot: up_slots[rank].clone(),
-            down_rx: down[rank].1.clone(),
-            down_slot: down[rank].2.clone(),
-            server: (rank == 0).then(|| StarServer {
-                up_rx: up_rx.clone(),
-                up_slots: up_slots.clone(),
-                down: down.iter().map(|(tx, _, slot)| (tx.clone(), slot.clone())).collect(),
-                expect: vec![0; n],
-                down_seq: vec![0; n],
-            }),
-            send_seq: 0,
-            recv_seq: 0,
-            faults,
-            t,
-            stats: stats.clone(),
-        })
-        .collect()
+    let mut server = StarTransport { rank: 0, n, to: Vec::new(), from: Vec::new(), t };
+    let mut workers = Vec::new();
+    for w in 1..n {
+        let (up_tx, up_rx) = link_in(w, 0, 0, faults, stats.clone());
+        let (down_tx, down_rx) = link_in(0, w, 0, faults, stats.clone());
+        server.to.push(down_tx);
+        server.from.push(up_rx);
+        workers.push(StarTransport { rank: w, n, to: vec![up_tx], from: vec![down_rx], t });
+    }
+    std::iter::once(server).chain(workers).take(n).collect()
 }
 
 impl StarTransport {
@@ -693,216 +497,50 @@ impl StarTransport {
         self.n
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn inject_and_send(
-        faults: &FaultPlan,
-        stats: &LinkStats,
-        src: usize,
-        dst: usize,
-        seq: u64,
-        payload: &[f32],
-        slot: &Slot,
-        tx: &Sender<Frame>,
-    ) {
-        lock(slot).insert(seq, payload.to_vec());
-        let crc = payload_crc(payload);
-        let actions = faults.decide(src, dst, seq, 0);
-        stats.record_faults(&actions);
-        if actions.contains(&FaultKind::Drop) {
-            return;
-        }
-        let mut wire = payload.to_vec();
-        let mut duplicate = false;
-        for a in &actions {
-            match a {
-                FaultKind::Delay(ms) => std::thread::sleep(Duration::from_millis(*ms)),
-                FaultKind::Corrupt => {
-                    if let Some(v) = wire.first_mut() {
-                        *v = f32::from_bits(v.to_bits() ^ 0x0040_0000);
-                    }
-                }
-                FaultKind::Duplicate => duplicate = true,
-                FaultKind::Drop => {} // handled by the early return above
-            }
-        }
-        let frame = Frame { src, seq, crc, payload: wire };
-        if duplicate {
-            let _ = tx.send(frame.clone());
-        }
-        let _ = tx.send(frame);
-    }
-
     /// Worker: ship the buffer up to the server.
     pub fn send_to_server(&mut self, payload: &[f32]) -> Result<(), Error> {
-        let seq = self.send_seq;
-        self.send_seq += 1;
-        Self::inject_and_send(&self.faults, &self.stats, self.rank, 0, seq, payload, &self.up_slot, &self.up_tx);
+        self.on_server(false, "send_to_server")?;
+        self.send_all(payload);
         Ok(())
     }
 
     /// Worker: receive the reduced buffer from the server.
     pub fn recv_from_server(&mut self) -> Result<Vec<f32>, Error> {
-        let want = self.recv_seq;
-        let got = recv_link(
-            &self.down_rx,
-            &self.down_slot,
-            want,
-            &self.t,
-            self.faults.seed(),
-            self.rank,
-            0,
-            &self.stats,
-        )?;
-        self.recv_seq += 1;
-        lock(&self.down_slot).retain(|&s, _| s > want);
-        Ok(got)
+        self.on_server(false, "recv_from_server")?;
+        // A worker has exactly one downlink.
+        self.from[0].recv(&self.t, None, "star recv")
     }
 
     /// Server (rank 0): gather one in-sequence buffer from every worker.
-    /// Returns `(worker_rank, payload)` pairs in arrival order.
+    /// Returns `(worker_rank, payload)` pairs in rank order.
     pub fn server_gather(&mut self) -> Result<Vec<(usize, Vec<f32>)>, Error> {
-        let n = self.n;
+        self.on_server(true, "server_gather")?;
         let t = self.t;
-        let me = self.rank;
-        let seed = self.faults.seed();
-        let stats = self.stats.clone();
-        let srv = self
-            .server
-            .as_mut()
-            .ok_or_else(|| Error::InvalidConfig("server_gather called on a worker rank".into()))?;
-        let mut got: Vec<Option<Vec<f32>>> = vec![None; n];
-        let mut missing = n - 1;
-        let start = Instant::now();
-        let mut attempt: u32 = 0;
-        while missing > 0 {
-            if start.elapsed() > t.hard_cap {
-                let peer = got.iter().enumerate().skip(1).find(|(_, g)| g.is_none()).map(|(r, _)| r);
-                return Err(Error::Timeout { rank: me, peer: peer.unwrap_or(0), op: "star gather" });
-            }
-            let backoff = backoff_delay(&t, seed, link_stream(me, me), attempt);
-            match srv.up_rx.recv_timeout(backoff) {
-                Ok(frame) => {
-                    let src = frame.src;
-                    if src == 0 || src >= n || frame.seq < srv.expect[src] || got[src].is_some() {
-                        stats.duplicates_discarded.inc();
-                        continue; // duplicate or stale
-                    }
-                    if frame.seq > srv.expect[src] || payload_crc(&frame.payload) != frame.crc {
-                        if payload_crc(&frame.payload) != frame.crc {
-                            stats.crc_rejects.inc();
-                        } else {
-                            stats.reorder_stash.inc();
-                        }
-                        attempt += 1;
-                        continue; // reordered-ahead or corrupt: slot has it
-                    }
-                    got[src] = Some(frame.payload);
-                    srv.expect[src] += 1;
-                    missing -= 1;
-                }
-                Err(_) => {
-                    stats.recv_timeouts.inc();
-                    // Sweep retransmit buffers for everything still missing.
-                    for (src, g) in got.iter_mut().enumerate().skip(1) {
-                        if g.is_some() {
-                            continue;
-                        }
-                        let want = srv.expect[src];
-                        if let Some(p) = lock(&srv.up_slots[src]).get(&want).cloned() {
-                            stats.retransmit_pulls.inc();
-                            *g = Some(p);
-                            srv.expect[src] += 1;
-                            missing -= 1;
-                        }
-                    }
-                    attempt += 1;
-                }
-            }
-        }
-        for (src, slot) in srv.up_slots.iter().enumerate() {
-            lock(slot).retain(|&s, _| s >= srv.expect[src]);
-        }
-        Ok(got
-            .into_iter()
+        self.from
+            .iter_mut()
             .enumerate()
-            .skip(1)
-            .filter_map(|(r, g)| g.map(|p| (r, p)))
-            .collect())
+            .map(|(i, rx)| Ok((i + 1, rx.recv(&t, None, "star gather")?)))
+            .collect()
     }
 
     /// Server (rank 0): broadcast the reduced buffer to every worker.
     pub fn server_broadcast(&mut self, payload: &[f32]) -> Result<(), Error> {
-        let faults = self.faults;
-        let me = self.rank;
-        let stats = self.stats.clone();
-        let srv = self
-            .server
-            .as_mut()
-            .ok_or_else(|| Error::InvalidConfig("server_broadcast called on a worker rank".into()))?;
-        for (dst, (tx, slot)) in srv.down.iter().enumerate() {
-            if dst == 0 {
-                continue;
-            }
-            let seq = srv.down_seq[dst];
-            srv.down_seq[dst] += 1;
-            Self::inject_and_send(&faults, &stats, me, dst, seq, payload, slot, tx);
-        }
+        self.on_server(true, "server_broadcast")?;
+        self.send_all(payload);
         Ok(())
     }
-}
 
-/// Shared receive loop for a single star link.
-#[allow(clippy::too_many_arguments)]
-fn recv_link(
-    rx: &Receiver<Frame>,
-    slot: &Slot,
-    want: u64,
-    t: &TimeoutCfg,
-    seed: u64,
-    me: usize,
-    peer: usize,
-    stats: &LinkStats,
-) -> Result<Vec<f32>, Error> {
-    let start = Instant::now();
-    let mut attempt: u32 = 0;
-    loop {
-        if start.elapsed() > t.hard_cap {
-            return Err(Error::Timeout { rank: me, peer, op: "star recv" });
+    fn on_server(&self, server: bool, call: &str) -> Result<(), Error> {
+        if (self.rank == 0) == server {
+            return Ok(());
         }
-        let backoff = backoff_delay(t, seed, link_stream(peer, me), attempt);
-        match rx.recv_timeout(backoff) {
-            Ok(frame) => {
-                if frame.seq != want || payload_crc(&frame.payload) != frame.crc {
-                    if payload_crc(&frame.payload) != frame.crc {
-                        stats.crc_rejects.inc();
-                    } else if frame.seq < want {
-                        stats.duplicates_discarded.inc();
-                    } else {
-                        stats.reorder_stash.inc();
-                    }
-                    if frame.seq >= want {
-                        attempt += 1;
-                    }
-                    continue;
-                }
-                return Ok(frame.payload);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                stats.recv_timeouts.inc();
-                if let Some(p) = lock(slot).get(&want).cloned() {
-                    stats.retransmit_pulls.inc();
-                    return Ok(p);
-                }
-                attempt += 1;
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                if let Some(p) = lock(slot).get(&want).cloned() {
-                    stats.retransmit_pulls.inc();
-                    return Ok(p);
-                }
-                stats.rank_dead.inc();
-                return Err(Error::RankDead { rank: peer });
-            }
+        let side = if server { "a worker" } else { "the server" };
+        Err(Error::InvalidConfig(format!("{call} called on {side} rank")))
+    }
+
+    fn send_all(&mut self, payload: &[f32]) {
+        for tx in &mut self.to {
+            tx.send(payload.to_vec());
         }
     }
 }
@@ -1020,6 +658,17 @@ mod tests {
         t0.server_broadcast(&sum).unwrap();
         assert_eq!(h1.join().unwrap(), vec![3.5, 3.5]);
         assert_eq!(h2.join().unwrap(), vec![3.5, 3.5]);
+    }
+
+    #[test]
+    fn star_gather_returns_rank_order_not_arrival_order() {
+        let mut tps = make_star_with(3, FaultPlan::none(), TimeoutCfg::fast());
+        let mut t2 = tps.pop().unwrap();
+        let mut t1 = tps.pop().unwrap();
+        let mut t0 = tps.pop().unwrap();
+        t2.send_to_server(&[2.0]).unwrap();
+        t1.send_to_server(&[1.0]).unwrap();
+        assert_eq!(t0.server_gather().unwrap(), vec![(1, vec![1.0]), (2, vec![2.0])]);
     }
 
     /// The jittered schedule is pinned for a known seed: same inputs, same

@@ -1,7 +1,7 @@
 //! Lock-site and held-region analysis (DESIGN.md §16).
 //!
 //! Identifies lock acquisitions (the `sync.rs` poison-recovering
-//! helpers, the local `transport.rs` helper, raw `Mutex::lock` /
+//! helpers, `cc19_obs::lock` as cc19-dist calls it, raw `Mutex::lock` /
 //! `RwLock::read`/`write` method calls), the token region each guard is
 //! held over, and the blocking operations / further acquisitions
 //! reachable inside that region — directly and across resolved call
@@ -24,12 +24,16 @@ use crate::rules::SourceFile;
 use crate::scanner::Token;
 
 /// Files whose lock discipline the lock rules audit: the serving stack
-/// (broker/batcher/sync/cluster/wire), the dist transport, and the
-/// monitoring crate. Callees outside these files are not traversed —
+/// (broker/batcher/sync/cluster/wire), the dist link and transport, and
+/// the monitoring crate. Callees outside these files are not traversed —
 /// lock ordering is a module-local protocol, and the numeric crates
 /// take no locks.
-pub const LOCK_SCOPE: &[&str] =
-    &["crates/serve/src/", "crates/dist/src/transport.rs", "crates/monitor/src/"];
+pub const LOCK_SCOPE: &[&str] = &[
+    "crates/serve/src/",
+    "crates/dist/src/link.rs",
+    "crates/dist/src/transport.rs",
+    "crates/monitor/src/",
+];
 
 /// Lock-primitive function names: call sites *of* these are modeled as
 /// acquisitions or condvar waits, so their bodies are never traversed

@@ -83,9 +83,10 @@ pub const METRIC_CTORS: &[&str] = &[
 pub const SPAN_CTORS: &[&str] = &["enter", "enter_on", "trace_child", "trace_record"];
 
 /// Paths that must stay panic-free and use typed errors: the
-/// fault-tolerant transport, the whole serving dispatch crate, and
-/// checkpoint I/O.
+/// fault-tolerant link and transport, the whole serving dispatch crate,
+/// and checkpoint I/O.
 pub const PANIC_PATHS: &[&str] = &[
+    "crates/dist/src/link.rs",
     "crates/dist/src/transport.rs",
     "crates/serve/src/",
     "crates/nn/src/checkpoint.rs",
@@ -1058,6 +1059,12 @@ mod tests {
         // `srv.expect[src]` (a field named `expect`) must not trip the rule.
         let src = "fn f() { let w = srv.expect[src]; }\n";
         assert!(run("panic-surface", "crates/dist/src/transport.rs", src).is_empty());
+    }
+
+    #[test]
+    fn the_reliable_link_is_on_the_panic_surface() {
+        let bad = "fn f() { v.unwrap(); }\n";
+        assert_eq!(run("panic-surface", "crates/dist/src/link.rs", bad).len(), 1);
     }
 
     #[test]

@@ -39,6 +39,7 @@ pub mod trace;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use histogram::Histogram;
+pub use lock::lock;
 pub use registry::{Counter, Entry, Gauge, HistogramHandle, Registry, Snapshot, Timer};
 pub use span::{Span, SpanStat};
 pub use trace::{SpanRecord, SpanStatus, TraceCtx};

@@ -1,18 +1,20 @@
-//! Poison-recovering `Mutex` locking for the observability stores.
+//! Poison-recovering `Mutex` locking — the workspace's one copy.
 //!
-//! Mirrors the `cc19_serve::sync` pattern: all state guarded by obs
-//! locks is plain owned data (metric maps, span aggregates, the trace
-//! ring) that stays structurally valid wherever a panicking holder
-//! stopped, so recovering the inner value is always sound. Routing
-//! every acquisition through [`lock`] means a panicked instrumented
-//! thread can never blank a trace dump or a snapshot — the exporters
-//! see whatever state the store had, instead of an error arm quietly
-//! returning empty output.
+//! All state guarded by obs locks is plain owned data (metric maps, span
+//! aggregates, the trace ring) that stays structurally valid wherever a
+//! panicking holder stopped, so recovering the inner value is always
+//! sound. Routing every acquisition through [`lock`] means a panicked
+//! instrumented thread can never blank a trace dump or a snapshot — the
+//! exporters see whatever state the store had, instead of an error arm
+//! quietly returning empty output. The same argument holds for
+//! `cc19-dist`'s retransmit buffers and membership table, which call
+//! this helper directly, and `cc19_serve::sync`'s rank-checked `lock`
+//! delegates its poison recovery here.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// `Mutex::lock` that recovers from poisoning instead of panicking.
-pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -27,7 +27,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cc19_dist::transport::Cluster;
-use cc19_dist::{ByteRx, ByteTx};
+use cc19_dist::{LinkRx, LinkTx};
 use crossbeam::channel::RecvTimeoutError;
 
 use crate::cluster::proto::{self, Dispatch};
@@ -43,8 +43,8 @@ use crate::worker::FrameworkFactory;
 /// death: die upon receiving dispatch number `kill_after` (0-based).
 pub(crate) struct Node {
     pub(crate) id: usize,
-    pub(crate) dispatch_rx: ByteRx,
-    pub(crate) reply_tx: ByteTx,
+    pub(crate) dispatch_rx: LinkRx<Vec<u8>>,
+    pub(crate) reply_tx: LinkTx<Vec<u8>>,
     pub(crate) bell: Arc<Doorbell>,
     pub(crate) hb: Arc<Cluster>,
     pub(crate) tick: Duration,
@@ -98,7 +98,7 @@ fn node_loop(node: Node, cfg: ServerCfg, factory: FrameworkFactory) {
                                 // Rejections mint no trace (admission
                                 // failed before span minting), so the
                                 // reply carries no span section.
-                                reply_tx.send(&proto::encode_reply_rejected(req_id, &why));
+                                reply_tx.send(proto::encode_reply_rejected(req_id, &why));
                             }
                         }
                     }
@@ -125,7 +125,7 @@ fn node_loop(node: Node, cfg: ServerCfg, factory: FrameworkFactory) {
                         Ok(d) => proto::encode_reply_ok(req_id, d, &spans),
                         Err(msg) => proto::encode_reply_fail(req_id, msg, &spans),
                     };
-                    reply_tx.send(&bytes);
+                    reply_tx.send(bytes);
                     pendings.pop_front();
                 }
                 Err(RecvTimeoutError::Timeout) => break,
@@ -133,8 +133,7 @@ fn node_loop(node: Node, cfg: ServerCfg, factory: FrameworkFactory) {
                 // this is seen on the next wake-up.
                 Err(RecvTimeoutError::Disconnected) => {
                     let spans = reg.trace_take(trace_id);
-                    reply_tx
-                        .send(&proto::encode_reply_fail(req_id, "worker pipeline lost", &spans));
+                    reply_tx.send(proto::encode_reply_fail(req_id, "worker pipeline lost", &spans));
                     pendings.pop_front();
                 }
             }

@@ -30,7 +30,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cc19_dist::transport::Cluster;
-use cc19_dist::{byte_link, ByteRx, ByteTx};
+use cc19_dist::{link, LinkRx, LinkTx};
 use cc19_nn::checkpoint::Checkpoint;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
@@ -93,8 +93,8 @@ struct InFlight {
 
 /// The router's view of one worker.
 struct WorkerSlot {
-    tx: ByteTx,
-    rx: ByteRx,
+    tx: LinkTx<Vec<u8>>,
+    rx: LinkRx<Vec<u8>>,
     alive: bool,
     dispatched: Counter,
     handle: Option<JoinHandle<()>>,
@@ -166,8 +166,8 @@ impl Router {
         // past the largest possible worker id.
         let router_rank = self.cfg.max_workers;
         let (faults, reg) = (self.cfg.faults, cc19_obs::global());
-        let (mut tx, dispatch_rx) = byte_link(router_rank, node, faults, reg);
-        let (mut reply_tx, rx) = byte_link(node, router_rank, faults, reg);
+        let (mut tx, dispatch_rx) = link(router_rank, node, faults, reg);
+        let (mut reply_tx, rx) = link(node, router_rank, faults, reg);
         // Each direction wakes its receiver's loop.
         let node_bell = Arc::new(Doorbell::default());
         let (to_node, to_router) = (Arc::clone(&node_bell), Arc::clone(&self.bell));
@@ -256,7 +256,7 @@ impl Router {
         // the frame), then reap the threads.
         for slot in &mut self.workers {
             if slot.alive {
-                slot.tx.send(&proto::encode_shutdown());
+                slot.tx.send(proto::encode_shutdown());
             }
         }
         let handles: Vec<_> = self.workers.iter_mut().filter_map(|s| s.handle.take()).collect();
@@ -322,7 +322,7 @@ impl Router {
         let t0 = reg.now_ns();
         let root = reg.trace_begin(link);
         let wire = reg.trace_reserve(root);
-        self.workers[worker].tx.send(&proto::encode_dispatch(id, wire, &req));
+        self.workers[worker].tx.send(proto::encode_dispatch(id, wire, &req));
         self.workers[worker].dispatched.inc();
         self.inflight.insert(
             id,
@@ -447,7 +447,7 @@ impl Router {
                 inf.worker = worker;
                 inf.wire = reg.trace_reserve(inf.root);
                 inf.attempt_start = now_ns;
-                self.workers[worker].tx.send(&proto::encode_dispatch(id, inf.wire, &inf.req));
+                self.workers[worker].tx.send(proto::encode_dispatch(id, inf.wire, &inf.req));
                 self.workers[worker].dispatched.inc();
                 self.metrics.dispatched.inc();
                 self.metrics.redispatched.inc();

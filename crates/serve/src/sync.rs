@@ -138,18 +138,18 @@ impl<T: ?Sized> Drop for Guard<'_, T> {
 #[cfg(not(debug_assertions))]
 pub(crate) type Guard<'a, T> = MutexGuard<'a, T>;
 
-/// `Mutex::lock` that recovers from poisoning instead of panicking and
-/// (debug builds) enforces the rank order.
+/// [`cc19_obs::lock`] (poison-recovering) that, in debug builds, also
+/// enforces the rank order.
 #[cfg(debug_assertions)]
 pub(crate) fn lock<'a, T: ?Sized>(m: &'a Mutex<T>, rank: &'static LockRank) -> Guard<'a, T> {
     sentinel::push(rank);
-    Guard { g: Some(m.lock().unwrap_or_else(PoisonError::into_inner)), rank }
+    Guard { g: Some(cc19_obs::lock(m)), rank }
 }
 
-/// `Mutex::lock` that recovers from poisoning instead of panicking.
+/// [`cc19_obs::lock`]: recovers from poisoning instead of panicking.
 #[cfg(not(debug_assertions))]
 pub(crate) fn lock<'a, T: ?Sized>(m: &'a Mutex<T>, _rank: &'static LockRank) -> Guard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+    cc19_obs::lock(m)
 }
 
 /// `Condvar::wait` that recovers from poisoning instead of panicking.

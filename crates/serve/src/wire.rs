@@ -105,11 +105,12 @@ pub fn decode_request(payload: &[u8]) -> io::Result<ServeRequest> {
     let micros = c.u64()?;
     let deadline = has_deadline.then(|| Duration::from_micros(micros));
     let (d, h, w) = (c.u32()? as usize, c.u32()? as usize, c.u32()? as usize);
-    let n = d
+    let bytes = d
         .checked_mul(h)
         .and_then(|v| v.checked_mul(w))
+        .and_then(|v| v.checked_mul(4))
         .ok_or_else(|| invalid("volume extent overflow"))?;
-    let raw = c.take(n * 4)?;
+    let raw = c.take(bytes)?;
     // chunks_exact(4) yields exactly-4-byte slices, so the array indexing
     // cannot go out of bounds.
     let data: Vec<f32> =
@@ -374,6 +375,13 @@ mod tests {
         for cut in [0, 1, 5, 10, full.len() - 1] {
             assert!(decode_request(&full[..cut]).is_err(), "cut at {cut} must fail");
         }
+        // Dims (2^31, 2^31, 2) pass the extent product (2^63 voxels) but
+        // not its byte count.
+        let mut huge = full[..10].to_vec();
+        for dim in [1u32 << 31, 1 << 31, 2] {
+            huge.extend_from_slice(&dim.to_le_bytes());
+        }
+        assert_eq!(decode_request(&huge).unwrap_err().kind(), io::ErrorKind::InvalidData);
         assert!(decode_ok(&[0u8; 10]).is_err());
         assert!(decode_reject(&[]).is_err());
     }

@@ -8,6 +8,34 @@ cd "$(dirname "$0")/.."
 
 status=0
 
+# run_twice WHAT "ARTEFACT..." CMD...: run a deterministic stage twice and
+# byte-compare every artefact it writes between the two runs.
+run1() { echo "${1%/*}/.${1##*/}.run1"; }
+run_twice() {
+    local what=$1 files=$2 f
+    shift 2
+    [ "$status" -eq 0 ] || return 0
+    if ! "$@"; then
+        echo "tier-1: $what FAILED (first run)"
+        status=1
+        return 0
+    fi
+    for f in $files; do cp "$f" "$(run1 "$f")"; done
+    if ! "$@"; then
+        echo "tier-1: $what FAILED (second run)"
+        status=1
+    else
+        for f in $files; do
+            if ! cmp -s "$f" "$(run1 "$f")"; then
+                echo "tier-1: $what NOT DETERMINISTIC (${f##*/} differs between runs)"
+                diff "$(run1 "$f")" "$f" | head -20
+                status=1
+            fi
+        done
+    fi
+    for f in $files; do rm -f "$(run1 "$f")"; done
+}
+
 echo "=== tier-1: cargo build --release ==="
 if ! cargo build --release; then
     echo "tier-1: BUILD FAILED"
@@ -70,23 +98,8 @@ echo "=== tier-1: serving smoke (64 mixed-priority requests, byte-identical CSV)
 # Under CC19_OBS_DETERMINISTIC=1 the test writes
 # results/serve_smoke_metrics.csv from a frozen manual clock — run it
 # twice and the files must be byte-identical.
-if [ "$status" -eq 0 ]; then
-    if ! CC19_OBS_DETERMINISTIC=1 cargo test -q -p cc19-serve --test smoke; then
-        echo "tier-1: SERVE SMOKE FAILED (first run)"
-        status=1
-    else
-        cp results/serve_smoke_metrics.csv results/.serve_smoke_metrics.run1.csv
-        if ! CC19_OBS_DETERMINISTIC=1 cargo test -q -p cc19-serve --test smoke; then
-            echo "tier-1: SERVE SMOKE FAILED (second run)"
-            status=1
-        elif ! cmp -s results/serve_smoke_metrics.csv results/.serve_smoke_metrics.run1.csv; then
-            echo "tier-1: SERVE SMOKE NOT DETERMINISTIC (serve_smoke_metrics.csv differs)"
-            diff results/.serve_smoke_metrics.run1.csv results/serve_smoke_metrics.csv | head -20
-            status=1
-        fi
-        rm -f results/.serve_smoke_metrics.run1.csv
-    fi
-fi
+run_twice "SERVE SMOKE" results/serve_smoke_metrics.csv \
+    env CC19_OBS_DETERMINISTIC=1 cargo test -q -p cc19-serve --test smoke
 
 echo
 echo "=== tier-1: monitoring smoke (4-timestep progression, byte-identical CSV) ==="
@@ -95,23 +108,8 @@ echo "=== tier-1: monitoring smoke (4-timestep progression, byte-identical CSV) 
 # (DESIGN.md §15). Under CC19_OBS_DETERMINISTIC=1 the test writes
 # results/monitor_timeline.csv from a frozen manual clock — run it twice
 # and the files must be byte-identical.
-if [ "$status" -eq 0 ]; then
-    if ! CC19_OBS_DETERMINISTIC=1 cargo test -q -p cc19-monitor --test smoke; then
-        echo "tier-1: MONITOR SMOKE FAILED (first run)"
-        status=1
-    else
-        cp results/monitor_timeline.csv results/.monitor_timeline.run1.csv
-        if ! CC19_OBS_DETERMINISTIC=1 cargo test -q -p cc19-monitor --test smoke; then
-            echo "tier-1: MONITOR SMOKE FAILED (second run)"
-            status=1
-        elif ! cmp -s results/monitor_timeline.csv results/.monitor_timeline.run1.csv; then
-            echo "tier-1: MONITOR SMOKE NOT DETERMINISTIC (monitor_timeline.csv differs)"
-            diff results/.monitor_timeline.run1.csv results/monitor_timeline.csv | head -20
-            status=1
-        fi
-        rm -f results/.monitor_timeline.run1.csv
-    fi
-fi
+run_twice "MONITOR SMOKE" results/monitor_timeline.csv \
+    env CC19_OBS_DETERMINISTIC=1 cargo test -q -p cc19-monitor --test smoke
 
 echo
 echo "=== tier-1: observability report (byte-identical under manual clock) ==="
@@ -129,28 +127,8 @@ if [ "$status" -eq 0 ]; then
         status=1
     fi
 fi
-if [ "$status" -eq 0 ]; then
-    if ! CC19_OBS_DETERMINISTIC=1 ./target/release/obs_report; then
-        echo "tier-1: OBS REPORT FAILED (first run)"
-        status=1
-    else
-        cp results/bench_obs.json results/.bench_obs.run1.json
-        cp results/trace_report.json results/.trace_report.run1.json
-        if ! CC19_OBS_DETERMINISTIC=1 ./target/release/obs_report; then
-            echo "tier-1: OBS REPORT FAILED (second run)"
-            status=1
-        elif ! cmp -s results/bench_obs.json results/.bench_obs.run1.json; then
-            echo "tier-1: OBS REPORT NOT DETERMINISTIC (bench_obs.json differs between runs)"
-            diff results/.bench_obs.run1.json results/bench_obs.json | head -20
-            status=1
-        elif ! cmp -s results/trace_report.json results/.trace_report.run1.json; then
-            echo "tier-1: OBS REPORT NOT DETERMINISTIC (trace_report.json differs between runs)"
-            diff results/.trace_report.run1.json results/trace_report.json | head -20
-            status=1
-        fi
-        rm -f results/.bench_obs.run1.json results/.trace_report.run1.json
-    fi
-fi
+run_twice "OBS REPORT" "results/bench_obs.json results/trace_report.json" \
+    env CC19_OBS_DETERMINISTIC=1 ./target/release/obs_report
 
 echo
 echo "=== tier-1: request tracing (stitched span trees, byte-identical JSONL) ==="
@@ -162,23 +140,8 @@ echo "=== tier-1: request tracing (stitched span trees, byte-identical JSONL) ==
 # Under CC19_OBS_DETERMINISTIC=1 the cluster test writes
 # results/trace_smoke.jsonl — run it twice and the exports must be
 # byte-identical.
-if [ "$status" -eq 0 ]; then
-    if ! CC19_OBS_DETERMINISTIC=1 cargo test -q -p cc19-serve --test trace; then
-        echo "tier-1: REQUEST TRACING FAILED (first run)"
-        status=1
-    else
-        cp results/trace_smoke.jsonl results/.trace_smoke.run1.jsonl
-        if ! CC19_OBS_DETERMINISTIC=1 cargo test -q -p cc19-serve --test trace; then
-            echo "tier-1: REQUEST TRACING FAILED (second run)"
-            status=1
-        elif ! cmp -s results/trace_smoke.jsonl results/.trace_smoke.run1.jsonl; then
-            echo "tier-1: REQUEST TRACING NOT DETERMINISTIC (trace_smoke.jsonl differs)"
-            diff results/.trace_smoke.run1.jsonl results/trace_smoke.jsonl | head -20
-            status=1
-        fi
-        rm -f results/.trace_smoke.run1.jsonl
-    fi
-fi
+run_twice "REQUEST TRACING" results/trace_smoke.jsonl \
+    env CC19_OBS_DETERMINISTIC=1 cargo test -q -p cc19-serve --test trace
 
 echo
 echo "=== tier-1: no timer on the serve request path ==="
@@ -201,23 +164,8 @@ echo "=== tier-1: static analysis ==="
 # exports results/lint_report.json. The report is byte-deterministic
 # (sorted keys, no timestamps) — run the linter twice and compare, the
 # same determinism gate bench_obs.json gets above.
-if [ "$status" -eq 0 ]; then
-    if ! cargo run -q -p cc19-lint -- --report results/lint_report.json; then
-        echo "tier-1: STATIC ANALYSIS FAILED (cc19-lint)"
-        status=1
-    else
-        cp results/lint_report.json results/.lint_report.run1.json
-        if ! cargo run -q -p cc19-lint -- --report results/lint_report.json; then
-            echo "tier-1: STATIC ANALYSIS FAILED (cc19-lint, second run)"
-            status=1
-        elif ! cmp -s results/lint_report.json results/.lint_report.run1.json; then
-            echo "tier-1: STATIC ANALYSIS NOT DETERMINISTIC (lint_report.json differs between runs)"
-            diff results/.lint_report.run1.json results/lint_report.json | head -20
-            status=1
-        fi
-        rm -f results/.lint_report.run1.json
-    fi
-fi
+run_twice "STATIC ANALYSIS (cc19-lint)" results/lint_report.json \
+    cargo run -q -p cc19-lint -- --report results/lint_report.json
 if [ "$status" -eq 0 ]; then
     if cargo clippy --version >/dev/null 2>&1; then
         if ! cargo clippy --workspace --all-targets -q -- -D warnings; then
