@@ -19,6 +19,7 @@
 
 
 pub mod baselines;
+mod exec;
 pub mod model;
 pub mod projection;
 pub mod trainer;

@@ -1,5 +1,7 @@
 //! The DDnet model definition (paper Table 2 / Figs 6–7).
 
+use std::rc::Rc;
+
 use cc19_nn::graph::{Graph, Var};
 use cc19_nn::init::Init;
 use cc19_nn::layers::{BatchNorm, BnForward, Conv2d, ConvTranspose2d};
@@ -10,6 +12,7 @@ use cc19_tensor::pool::PoolSpec;
 use cc19_tensor::rng::Xorshift;
 use cc19_tensor::{Tensor, TensorError};
 
+use crate::exec::{owned, Eval, Exec, Tape};
 use crate::Result;
 
 /// DDnet hyper-parameters.
@@ -138,14 +141,14 @@ impl DenseLayer {
         }
     }
 
-    fn forward(&self, g: &mut Graph, x: Var, leaky: f32, bn: BnForward) -> Result<Var> {
-        let h = self.bn_in.forward_with(g, x, bn)?;
-        let h = g.leaky_relu(h, leaky);
-        let h = self.conv1.forward(g, h)?;
-        let h = self.bn_mid.forward_with(g, h, bn)?;
-        let h = g.leaky_relu(h, leaky);
-        let h = self.conv5.forward(g, h)?;
-        g.concat_channels(&[x, h])
+    fn forward<E: Exec>(&self, ex: &mut E, x: E::V, leaky: f32) -> Result<E::V> {
+        let h = ex.batch_norm(&self.bn_in, x.clone())?;
+        let h = ex.leaky_relu(h, leaky);
+        let h = ex.conv(&self.conv1, h)?;
+        let h = ex.batch_norm(&self.bn_mid, h)?;
+        let h = ex.leaky_relu(h, leaky);
+        let h = ex.conv(&self.conv5, h)?;
+        ex.concat(x, h)
     }
 }
 
@@ -162,9 +165,9 @@ impl DenseBlock {
         DenseBlock { layers }
     }
 
-    fn forward(&self, g: &mut Graph, mut x: Var, leaky: f32, bn: BnForward) -> Result<Var> {
+    fn forward<E: Exec>(&self, ex: &mut E, mut x: E::V, leaky: f32) -> Result<E::V> {
         for l in &self.layers {
-            x = l.forward(g, x, leaky, bn)?;
+            x = l.forward(ex, x, leaky)?;
         }
         Ok(x)
     }
@@ -179,6 +182,44 @@ struct DecoderStage {
     /// Final stage has no BN/activation after the 1×1 (it produces the
     /// image).
     bn1: Option<BatchNorm>,
+}
+
+impl DecoderStage {
+    /// `skip` is the encoder feature map of matching resolution (`None`
+    /// when the global shortcuts are ablated).
+    fn forward<E: Exec>(&self, ex: &mut E, h: E::V, skip: Option<E::V>, leaky: f32) -> Result<E::V> {
+        let h = ex.upsample(h, 2)?;
+        let d = ex.deconv(&self.deconv5, h)?;
+        let d = ex.batch_norm(&self.bn5, d)?;
+        let d = ex.leaky_relu(d, leaky);
+        let cat = match skip {
+            Some(skip) => ex.concat(d, skip)?,
+            None => d,
+        };
+        let d = ex.deconv(&self.deconv1, cat)?;
+        match &self.bn1 {
+            Some(bn) => {
+                let d = ex.batch_norm(bn, d)?;
+                Ok(ex.leaky_relu(d, leaky))
+            }
+            None => Ok(d),
+        }
+    }
+}
+
+/// DDnet takes `(B, 1, H, W)` with `H` and `W` divisible by 16 (four
+/// ×2 poolings).
+fn check_input(dims: &[usize]) -> Result<()> {
+    if dims.len() != 4 || dims[1] != 1 {
+        return Err(TensorError::Incompatible(format!("DDnet expects (B,1,H,W), got {dims:?}")));
+    }
+    if !dims[2].is_multiple_of(16) || !dims[3].is_multiple_of(16) {
+        return Err(TensorError::Incompatible(format!(
+            "DDnet input extents must be divisible by 16, got {}x{}",
+            dims[2], dims[3]
+        )));
+    }
+    Ok(())
 }
 
 /// The DDnet network.
@@ -284,87 +325,76 @@ impl Ddnet {
         Ddnet { cfg, store, conv_stem, bn_stem, blocks, transitions, bn_transitions, decoder }
     }
 
-    /// Forward pass on a `(B, 1, H, W)` batch (H, W divisible by 16).
-    /// Returns the enhanced batch var.
+    /// Forward pass on a `(B, 1, H, W)` batch (H, W divisible by 16),
+    /// recorded on the tape. Returns the enhanced batch var.
     pub fn forward(&self, g: &mut Graph, x: Var, training: bool) -> Result<Var> {
-        let dims = g.value(x).dims().to_vec();
-        if dims.len() != 4 || dims[1] != 1 {
-            return Err(TensorError::Incompatible(format!("DDnet expects (B,1,H,W), got {dims:?}")));
-        }
-        if !dims[2].is_multiple_of(16) || !dims[3].is_multiple_of(16) {
-            return Err(TensorError::Incompatible(format!(
-                "DDnet input extents must be divisible by 16, got {}x{}",
-                dims[2], dims[3]
-            )));
-        }
-        let leaky = self.cfg.leaky;
-        let pool = PoolSpec::DDNET;
-        let bn = if training {
+        check_input(g.value(x).dims())?;
+        self.run(&mut Tape { g, bn: self.bn_mode(training) }, x)
+    }
+
+    /// How batch-norm layers compute their statistics.
+    fn bn_mode(&self, training: bool) -> BnForward {
+        if training {
             BnForward::Train
         } else if self.cfg.instance_norm_eval {
             BnForward::InstanceEval
         } else {
             BnForward::RunningEval
-        };
+        }
+    }
+
+    /// The network, written once for both executors (`exec`).
+    fn run<E: Exec>(&self, ex: &mut E, x: E::V) -> Result<E::V> {
+        let leaky = self.cfg.leaky;
+        let pool = PoolSpec::DDNET;
 
         // --- encoder ---
-        let c1 = self.conv_stem.forward(g, x)?; // full res, base ch
-        let c1a = {
-            let h = self.bn_stem.forward_with(g, c1, bn)?;
-            g.leaky_relu(h, leaky)
-        };
+        let c1 = ex.conv(&self.conv_stem, x.clone())?; // full res, base ch
+        let c1 = ex.batch_norm(&self.bn_stem, c1)?;
+        let c1a = ex.leaky_relu(c1, leaky);
 
-        let mut skips: Vec<Var> = vec![c1a]; // skip at full res
+        let mut skips: Vec<E::V> = vec![c1a.clone()]; // skip at full res
         let mut h = c1a;
         for b in 0..4 {
-            h = g.max_pool2d(h, pool)?;
-            h = self.blocks[b].forward(g, h, leaky, bn)?;
-            h = self.transitions[b].forward(g, h)?;
-            h = self.bn_transitions[b].forward_with(g, h, bn)?;
-            h = g.leaky_relu(h, leaky);
+            h = ex.max_pool(h, pool)?;
+            h = self.blocks[b].forward(ex, h, leaky)?;
+            h = ex.conv(&self.transitions[b], h)?;
+            h = ex.batch_norm(&self.bn_transitions[b], h)?;
+            h = ex.leaky_relu(h, leaky);
             if b < 3 {
-                skips.push(h); // transition outputs at 1/2, 1/4, 1/8 res
+                skips.push(h.clone()); // transition outputs at 1/2, 1/4, 1/8 res
             }
         }
 
-        // --- decoder --- (skips in reverse: 1/8, 1/4, 1/2, full)
-        for s in 0..4 {
-            h = g.upsample_bilinear2d(h, 2)?;
-            let stage = &self.decoder[s];
-            let d = stage.deconv5.forward(g, h)?;
-            let d = stage.bn5.forward_with(g, d, bn)?;
-            let d = g.leaky_relu(d, leaky);
-            let cat = if self.cfg.no_global_shortcuts {
-                d
-            } else {
-                let skip = skips[3 - s];
-                g.concat_channels(&[d, skip])?
-            };
-            let d = stage.deconv1.forward(g, cat)?;
-            h = match &stage.bn1 {
-                Some(layer) => {
-                    let d = layer.forward_with(g, d, bn)?;
-                    g.leaky_relu(d, leaky)
-                }
-                None => d,
-            };
+        // --- decoder --- (skips popped in reverse: 1/8, 1/4, 1/2, full)
+        for stage in &self.decoder {
+            let skip = skips.pop().filter(|_| !self.cfg.no_global_shortcuts);
+            h = stage.forward(ex, h, skip, leaky)?;
         }
 
         if self.cfg.residual {
-            h = g.add(h, x)?;
+            h = ex.add(h, x)?;
         }
         Ok(h)
+    }
+
+    /// Tape-free inference forward on a `(B, 1, H, W)` batch: convolutions
+    /// through `conv2d_dispatch(backend)`, deconvolutions on the kernel
+    /// ladder's gather microkernel, batch-norm with per-sample statistics
+    /// in instance-norm configurations (so no sample sees its batch-mates).
+    fn infer(&self, x: Tensor, backend: ConvBackend) -> Result<Tensor> {
+        check_input(x.dims())?;
+        let mut ex = Eval { bn: self.bn_mode(false), backend };
+        Ok(owned(self.run(&mut ex, Rc::new(x))?))
     }
 
     /// Enhance a single `(n, n)` image in `[0,1]` (inference convenience).
     pub fn enhance(&self, img: &Tensor) -> Result<Tensor> {
         img.shape().expect_rank(2)?;
         let (h, w) = (img.dims()[0], img.dims()[1]);
-        let x = img.reshape([1, 1, h, w])?;
-        let mut g = Graph::new();
-        let xv = g.input(x);
-        let y = self.forward(&mut g, xv, false)?;
-        g.value(y).reshape([h, w])
+        let mut y = self.infer(img.reshape([1, 1, h, w])?, ConvBackend::Auto)?;
+        y.reshape_in_place([h, w])?;
+        Ok(y)
     }
 
     /// Enhance a `(B, H, W)` stack of slices in **one** batched forward
@@ -372,22 +402,23 @@ impl Ddnet {
     /// lowerings see `B×OH×OW` output rows instead of `OH×OW`, so packing
     /// and tiling amortize across slices.
     ///
-    /// The backend must be pinned explicitly: under [`ConvBackend::Auto`]
-    /// the shape-aware dispatch keys on the *batched* output-position
-    /// count, so small slices can legitimately resolve to a different
-    /// backend than [`Ddnet::enhance`] would pick per slice — making the
-    /// stacked result not bit-identical to the per-slice loop. With a
-    /// forced `Direct` or `Gemm` backend, every sample in the batch is an
-    /// independent row range of the same kernel and the outputs match the
-    /// per-slice path bit for bit (tested in `trainer`).
+    /// `backend` governs the convolutions only; deconvolutions always run
+    /// the gather microkernel one sample at a time, and batch-norm
+    /// statistics are per sample. The backend must still be pinned
+    /// explicitly: under [`ConvBackend::Auto`] the shape-aware dispatch
+    /// keys on the *batched* output-position count, so small slices can
+    /// legitimately resolve to a different conv backend than
+    /// [`Ddnet::enhance`] would pick per slice — making the stacked result
+    /// not bit-identical to the per-slice loop. With a forced `Direct` or
+    /// `Gemm` backend, every sample in the batch is an independent row
+    /// range of the same kernel and the outputs match the per-slice path
+    /// bit for bit (tested in `trainer`).
     pub fn enhance_stack(&self, stack: &Tensor, backend: ConvBackend) -> Result<Tensor> {
         stack.shape().expect_rank(3)?;
         let (b, h, w) = (stack.dims()[0], stack.dims()[1], stack.dims()[2]);
-        let x = stack.reshape([b, 1, h, w])?;
-        let mut g = Graph::with_conv_backend(backend);
-        let xv = g.input(x);
-        let y = self.forward(&mut g, xv, false)?;
-        g.value(y).reshape([b, h, w])
+        let mut y = self.infer(stack.reshape([b, 1, h, w])?, backend)?;
+        y.reshape_in_place([b, h, w])?;
+        Ok(y)
     }
 
     /// Number of *convolution* layers (paper: 37) — 7×7 stem + 2 per dense
@@ -540,7 +571,7 @@ impl Ddnet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -591,6 +622,74 @@ mod tests {
         assert!(net.forward(&mut g, bad_rank, false).is_err());
         let bad_extent = g.input(Tensor::zeros([1, 1, 40, 40]));
         assert!(net.forward(&mut g, bad_extent, false).is_err());
+    }
+
+    /// `cfg` at `seed` with every weight nudged by +0.01, so the network
+    /// is not the zero-init identity (every untrained tiny / reduced net
+    /// computes exactly `x` otherwise) and deconvolution numerics show.
+    pub(crate) fn nudged(cfg: DdnetConfig, seed: u64) -> Ddnet {
+        let net = Ddnet::new(cfg, seed);
+        for p in net.store.params() {
+            for v in p.borrow_mut().value.data_mut() {
+                *v += 0.01;
+            }
+        }
+        net
+    }
+
+    /// `(max |got − want|, that over max |want|, max |want|)`.
+    fn deviation(got: &Tensor, want: &Tensor) -> (f32, f32, f32) {
+        let abs = got.max_abs_diff(want).unwrap();
+        let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        (abs, abs / scale.max(f32::MIN_POSITIVE), scale)
+    }
+
+    #[test]
+    fn evaluator_matches_the_graph_forward() {
+        let mut running = DdnetConfig::tiny();
+        running.instance_norm_eval = false;
+        for (name, cfg) in
+            [("tiny", DdnetConfig::tiny()), ("reduced", DdnetConfig::reduced()), ("tiny/running", running)]
+        {
+            let net = nudged(cfg, 31);
+            let mut rng = Xorshift::new(32);
+            for n in [32usize, 64, 112] {
+                let img = rng.uniform_tensor([n, n], 0.0, 1.0);
+                if !cfg.instance_norm_eval {
+                    // non-default running statistics, from this input
+                    let mut g = Graph::new();
+                    let x = g.input(img.reshape([1, 1, n, n]).unwrap());
+                    net.forward(&mut g, x, true).unwrap();
+                }
+                let mut g = Graph::new();
+                let x = g.input(img.reshape([1, 1, n, n]).unwrap());
+                let y = net.forward(&mut g, x, false).unwrap();
+                let want = g.value(y).reshape([n, n]).unwrap();
+                let got = net.enhance(&img).unwrap();
+                assert!(!got.all_close(&img, 1e-3), "{name} {n}²: nudged net must not be the identity");
+                // Only the deconvolutions differ (gather microkernel vs
+                // the tensor lowering's accumulation order). Running
+                // statistics leave outputs O(50), so max-abs is held to
+                // 1e-5 of the output scale where that exceeds 1.
+                let (abs, rel, scale) = deviation(&got, &want);
+                assert!(
+                    abs <= 1e-5 * scale.max(1.0) && rel <= 1e-5,
+                    "{name} {n}²: max-abs {abs:e}, max-rel {rel:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn enhance_rejects_bad_inputs_with_typed_errors() {
+        let net = nudged(DdnetConfig::tiny(), 33);
+        let shape_err = |r: Result<Tensor>| matches!(r, Err(TensorError::RankMismatch { .. }));
+        let extent_err = |r: Result<Tensor>| matches!(r, Err(TensorError::Incompatible(m)) if m.contains("16"));
+        assert!(shape_err(net.enhance(&Tensor::zeros([1, 32, 32]))));
+        assert!(extent_err(net.enhance(&Tensor::zeros([40, 40]))));
+        assert!(extent_err(net.enhance(&Tensor::zeros([32, 24]))));
+        assert!(shape_err(net.enhance_stack(&Tensor::zeros([32, 32]), ConvBackend::Direct)));
+        assert!(extent_err(net.enhance_stack(&Tensor::zeros([2, 40, 32]), ConvBackend::Gemm)));
     }
 
     #[test]

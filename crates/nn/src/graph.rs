@@ -53,6 +53,10 @@ pub enum BnMode {
     /// Use batch statistics (training). The op reports the batch mean/var
     /// so the layer can update its running stats.
     Train,
+    /// Use each sample's own per-channel statistics (instance-norm
+    /// inference): a sample's output never depends on its batch-mates.
+    /// Identical to `Train` at batch size 1.
+    Instance,
     /// Use the provided running statistics (inference).
     Eval {
         /// Per-channel running means.
@@ -60,6 +64,83 @@ pub enum BnMode {
         /// Per-channel running variances.
         var: Vec<f32>,
     },
+}
+
+/// Batch-norm forward in place over a `(N, C, *spatial)` tensor:
+/// `x ← gamma·(x − mean)/sqrt(var + eps) + beta`. This is the one
+/// statistics-and-normalise loop both the tape ([`Graph::batch_norm`]) and
+/// tape-free inference run, so the two cannot drift apart.
+///
+/// Returns the statistics it normalised with: per channel for `Train`
+/// and `Eval`, per `(sample, channel)` (sample-major, `N·C` entries) for
+/// `Instance`.
+pub fn batch_norm_in_place(
+    x: &mut Tensor,
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    mode: &BnMode,
+) -> Result<(Vec<f32>, Vec<f32>)> {
+    if x.shape().rank() < 2 {
+        return Err(TensorError::Incompatible("batch_norm expects rank >= 2".into()));
+    }
+    let dims = x.dims();
+    let (n, c) = (dims[0], dims[1]);
+    let spatial: usize = dims[2..].iter().product();
+    if gamma.len() != c || beta.len() != c {
+        return Err(TensorError::Incompatible(format!(
+            "batch_norm: gamma/beta must have {c} elements"
+        )));
+    }
+    let per_sample = matches!(mode, BnMode::Instance);
+    let xd = x.data_mut();
+
+    // Mean and variance of channel `ci` over the samples in `samples`,
+    // accumulated in f64 in memory order.
+    let moments = |xd: &[f32], ci: usize, samples: std::ops::Range<usize>| {
+        let m = (samples.len() * spatial) as f32; // reduction-set size
+        let plane = |ni: usize| &xd[(ni * c + ci) * spatial..(ni * c + ci + 1) * spatial];
+        let mut acc = 0.0f64;
+        for ni in samples.clone() {
+            for &v in plane(ni) {
+                acc += v as f64;
+            }
+        }
+        let mu = (acc / m as f64) as f32;
+        let mut acc = 0.0f64;
+        for ni in samples {
+            for &v in plane(ni) {
+                let d = v as f64 - mu as f64;
+                acc += d * d;
+            }
+        }
+        (mu, (acc / m as f64) as f32)
+    };
+    let (mean, var): (Vec<f32>, Vec<f32>) = match mode {
+        BnMode::Train => (0..c).map(|ci| moments(xd, ci, 0..n)).unzip(),
+        BnMode::Instance => (0..n * c).map(|s| moments(xd, s % c, s / c..s / c + 1)).unzip(),
+        BnMode::Eval { mean, var } => {
+            if mean.len() != c || var.len() != c {
+                return Err(TensorError::Incompatible(format!(
+                    "batch_norm eval stats must have {c} elements"
+                )));
+            }
+            (mean.clone(), var.clone())
+        }
+    };
+
+    for ni in 0..n {
+        for ci in 0..c {
+            let s = if per_sample { ni * c + ci } else { ci };
+            let inv = 1.0 / (var[s] + eps).sqrt();
+            let (g, b, mu) = (gamma[ci], beta[ci], mean[s]);
+            let base = (ni * c + ci) * spatial;
+            for v in &mut xd[base..base + spatial] {
+                *v = g * (*v - mu) * inv + b;
+            }
+        }
+    }
+    Ok((mean, var))
 }
 
 /// The autograd tape.
@@ -502,8 +583,9 @@ impl Graph {
 
     /// Channel-wise batch normalization over a `(N, C, *spatial)` tensor.
     ///
-    /// Returns `(output, batch_mean, batch_var)`; in `Eval` mode the
-    /// returned statistics are the running ones that were supplied.
+    /// Returns `(output, mean, var)`: the statistics
+    /// [`batch_norm_in_place`] normalised with (the supplied running ones
+    /// in `Eval` mode, `N·C` per-sample ones in `Instance` mode).
     pub fn batch_norm(
         &mut self,
         x: Var,
@@ -512,83 +594,25 @@ impl Graph {
         eps: f32,
         mode: BnMode,
     ) -> Result<(Var, Vec<f32>, Vec<f32>)> {
-        let xv = &self.values[x.0];
-        if xv.shape().rank() < 2 {
-            return Err(TensorError::Incompatible("batch_norm expects rank >= 2".into()));
-        }
-        let dims = xv.dims().to_vec();
+        let mut out = self.values[x.0].clone();
+        let (mean, var) = batch_norm_in_place(
+            &mut out,
+            self.values[gamma.0].data(),
+            self.values[beta.0].data(),
+            eps,
+            &mode,
+        )?;
+        let dims = out.dims().to_vec();
         let (n, c) = (dims[0], dims[1]);
         let spatial: usize = dims[2..].iter().product();
-        let m = (n * spatial) as f32; // reduction-set size per channel
-        let gv = self.values[gamma.0].clone();
-        let bv = self.values[beta.0].clone();
-        if gv.numel() != c || bv.numel() != c {
-            return Err(TensorError::Incompatible(format!(
-                "batch_norm: gamma/beta must have {c} elements"
-            )));
-        }
 
-        let (mean, var) = match &mode {
-            BnMode::Train => {
-                let mut mean = vec![0.0f32; c];
-                let mut var = vec![0.0f32; c];
-                let xd = xv.data();
-                for (ci, mu) in mean.iter_mut().enumerate() {
-                    let mut acc = 0.0f64;
-                    for ni in 0..n {
-                        let base = (ni * c + ci) * spatial;
-                        for &v in &xd[base..base + spatial] {
-                            acc += v as f64;
-                        }
-                    }
-                    *mu = (acc / m as f64) as f32;
-                }
-                for ci in 0..c {
-                    let mu = mean[ci] as f64;
-                    let mut acc = 0.0f64;
-                    for ni in 0..n {
-                        let base = (ni * c + ci) * spatial;
-                        for &v in &xd[base..base + spatial] {
-                            let d = v as f64 - mu;
-                            acc += d * d;
-                        }
-                    }
-                    var[ci] = (acc / m as f64) as f32;
-                }
-                (mean, var)
-            }
-            BnMode::Eval { mean, var } => {
-                if mean.len() != c || var.len() != c {
-                    return Err(TensorError::Incompatible(format!(
-                        "batch_norm eval stats must have {c} elements"
-                    )));
-                }
-                (mean.clone(), var.clone())
-            }
-        };
-
-        // forward: y = gamma * (x - mean)/sqrt(var+eps) + beta
-        let mut out = Tensor::zeros(dims.clone());
-        {
-            let xd = xv.data();
-            let od = out.data_mut();
-            for ni in 0..n {
-                for ci in 0..c {
-                    let inv = 1.0 / (var[ci] + eps).sqrt();
-                    let g = gv.data()[ci];
-                    let b = bv.data()[ci];
-                    let mu = mean[ci];
-                    let base = (ni * c + ci) * spatial;
-                    for i in base..base + spatial {
-                        od[i] = g * (xd[i] - mu) * inv + b;
-                    }
-                }
-            }
-        }
-
+        // Each (channel, group of samples) shares one set of statistics:
+        // all samples in `Train`/`Eval`, one sample each in `Instance`.
+        let per_sample = matches!(mode, BnMode::Instance);
+        let group = if per_sample { 1 } else { n.max(1) };
         let mean_c = mean.clone();
         let var_c = var.clone();
-        let is_train = matches!(mode, BnMode::Train);
+        let is_eval = matches!(mode, BnMode::Eval { .. });
         let out_var = self.record(out, &[x, gamma, beta], Box::new(move |vals, g| {
             let xd = vals[x.0].data();
             let gammad = vals[gamma.0].data();
@@ -598,42 +622,47 @@ impl Graph {
             let mut gbeta = Tensor::zeros([c]);
             let gxd = gx.data_mut();
 
-            for ci in 0..c {
-                let inv = 1.0 / (var_c[ci] + eps).sqrt();
-                let mu = mean_c[ci];
-                // channel sums
-                let mut sum_g = 0.0f64;
-                let mut sum_g_xhat = 0.0f64;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * spatial;
-                    for i in base..base + spatial {
-                        let xhat = (xd[i] - mu) * inv;
-                        sum_g += gd[i] as f64;
-                        sum_g_xhat += (gd[i] * xhat) as f64;
-                    }
-                }
-                gbeta.data_mut()[ci] = sum_g as f32;
-                ggamma.data_mut()[ci] = sum_g_xhat as f32;
-                let k = gammad[ci] * inv;
-                if is_train {
-                    let mg = (sum_g / m as f64) as f32;
-                    let mgx = (sum_g_xhat / m as f64) as f32;
-                    for ni in 0..n {
+            for (ci, &gamma_c) in gammad.iter().enumerate() {
+                let (mut chan_g, mut chan_g_xhat) = (0.0f64, 0.0f64);
+                for g0 in (0..n).step_by(group) {
+                    let s = if per_sample { g0 * c + ci } else { ci };
+                    let inv = 1.0 / (var_c[s] + eps).sqrt();
+                    let mu = mean_c[s];
+                    let m = (group * spatial) as f32; // reduction-set size
+                    // group sums
+                    let mut sum_g = 0.0f64;
+                    let mut sum_g_xhat = 0.0f64;
+                    for ni in g0..g0 + group {
                         let base = (ni * c + ci) * spatial;
                         for i in base..base + spatial {
                             let xhat = (xd[i] - mu) * inv;
-                            gxd[i] = k * (gd[i] - mg - xhat * mgx);
+                            sum_g += gd[i] as f64;
+                            sum_g_xhat += (gd[i] * xhat) as f64;
                         }
                     }
-                } else {
-                    // eval: statistics are constants
-                    for ni in 0..n {
+                    chan_g += sum_g;
+                    chan_g_xhat += sum_g_xhat;
+                    let k = gamma_c * inv;
+                    let (mg, mgx) = if is_eval {
+                        // eval: statistics are constants
+                        (0.0, 0.0)
+                    } else {
+                        ((sum_g / m as f64) as f32, (sum_g_xhat / m as f64) as f32)
+                    };
+                    for ni in g0..g0 + group {
                         let base = (ni * c + ci) * spatial;
                         for i in base..base + spatial {
-                            gxd[i] = k * gd[i];
+                            gxd[i] = if is_eval {
+                                k * gd[i]
+                            } else {
+                                let xhat = (xd[i] - mu) * inv;
+                                k * (gd[i] - mg - xhat * mgx)
+                            };
                         }
                     }
                 }
+                gbeta.data_mut()[ci] = chan_g as f32;
+                ggamma.data_mut()[ci] = chan_g_xhat as f32;
             }
             vec![(x.0, gx), (gamma.0, ggamma), (beta.0, gbeta)]
         }));
@@ -817,6 +846,46 @@ mod tests {
             let y2 = g.mul(y, y).unwrap();
             g.sum(y2)
         });
+    }
+
+    #[test]
+    fn grad_batch_norm_instance() {
+        let mut rng = Xorshift::new(18);
+        let x0 = rng.uniform_tensor([3, 2, 4, 4], -1.0, 1.0);
+        let g0 = rng.uniform_tensor([2], 0.5, 1.5);
+        let b0 = rng.uniform_tensor([2], -0.5, 0.5);
+        gradcheck(x0, 5e-2, |g, x| {
+            let gamma = g.input(g0.clone());
+            let beta = g.input(b0.clone());
+            let (y, _, _) = g.batch_norm(x, gamma, beta, 1e-5, BnMode::Instance).unwrap();
+            let y2 = g.mul(y, y).unwrap();
+            g.sum(y2)
+        });
+    }
+
+    #[test]
+    fn batch_norm_instance_normalises_each_sample_alone() {
+        let mut rng = Xorshift::new(19);
+        let x0 = rng.uniform_tensor([3, 2, 5, 5], -2.0, 4.0);
+        let (g0, b0) = (rng.uniform_tensor([2], 0.5, 1.5), rng.uniform_tensor([2], -0.5, 0.5));
+        let mut all = x0.clone();
+        let (mean, _) =
+            batch_norm_in_place(&mut all, g0.data(), b0.data(), 1e-5, &BnMode::Instance).unwrap();
+        assert_eq!(mean.len(), 3 * 2, "one statistic per (sample, channel)");
+        let plane = 2 * 25;
+        for s in 0..3 {
+            let sample = &x0.data()[s * plane..(s + 1) * plane];
+            // alone, under Instance and under Train: bit-identical at N = 1
+            for mode in [BnMode::Instance, BnMode::Train] {
+                let mut one = Tensor::from_vec([1, 2, 5, 5], sample.to_vec()).unwrap();
+                batch_norm_in_place(&mut one, g0.data(), b0.data(), 1e-5, &mode).unwrap();
+                assert_eq!(&all.data()[s * plane..(s + 1) * plane], one.data(), "sample {s}");
+            }
+        }
+        // ...while batch statistics mix the samples
+        let mut batch = x0.clone();
+        batch_norm_in_place(&mut batch, g0.data(), b0.data(), 1e-5, &BnMode::Train).unwrap();
+        assert!(!batch.all_close(&all, 1e-3));
     }
 
     #[test]

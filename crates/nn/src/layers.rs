@@ -8,9 +8,9 @@ use std::cell::RefCell;
 
 use cc19_tensor::conv::Conv2dSpec;
 use cc19_tensor::rng::Xorshift;
-use cc19_tensor::Tensor;
+use cc19_tensor::{Tensor, TensorError};
 
-use crate::graph::{BnMode, Graph, Var};
+use crate::graph::{batch_norm_in_place, BnMode, Graph, Var};
 use crate::init::Init;
 use crate::param::{Param, ParamRef, ParamStore};
 use crate::Result;
@@ -156,9 +156,10 @@ pub struct BatchNorm {
 pub enum BnForward {
     /// Batch statistics; running stats updated (training).
     Train,
-    /// Batch (instance) statistics; running stats untouched. The standard
-    /// inference mode for image-restoration networks, where small-batch
-    /// running statistics are too noisy (instance-norm behaviour).
+    /// Each sample's own statistics ([`BnMode::Instance`]); running stats
+    /// untouched. The standard inference mode for image-restoration
+    /// networks, where small-batch running statistics are too noisy
+    /// (instance-norm behaviour).
     InstanceEval,
     /// Running statistics (classic eval).
     RunningEval,
@@ -205,18 +206,34 @@ impl BatchNorm {
                 }
                 Ok(y)
             }
-            BnForward::InstanceEval => {
-                let (y, _, _) = g.batch_norm(x, gamma, beta, self.eps, BnMode::Train)?;
+            BnForward::InstanceEval | BnForward::RunningEval => {
+                let (y, _, _) = g.batch_norm(x, gamma, beta, self.eps, self.eval_mode(mode)?)?;
                 Ok(y)
             }
-            BnForward::RunningEval => {
-                let mode = BnMode::Eval {
-                    mean: self.running_mean.borrow().clone(),
-                    var: self.running_var.borrow().clone(),
-                };
-                let (y, _, _) = g.batch_norm(x, gamma, beta, self.eps, mode)?;
-                Ok(y)
-            }
+        }
+    }
+
+    /// Tape-free inference forward, in place on `x`: the same
+    /// [`batch_norm_in_place`] loop [`BatchNorm::forward_with`] records.
+    /// `mode` must be an eval mode — training updates running statistics
+    /// and belongs on the tape.
+    pub fn infer(&self, x: &mut Tensor, mode: BnForward) -> Result<()> {
+        let mode = self.eval_mode(mode)?;
+        let (gamma, beta) = (self.gamma.borrow(), self.beta.borrow());
+        batch_norm_in_place(x, gamma.value.data(), beta.value.data(), self.eps, &mode)?;
+        Ok(())
+    }
+
+    fn eval_mode(&self, mode: BnForward) -> Result<BnMode> {
+        match mode {
+            BnForward::Train => Err(TensorError::Incompatible(
+                "BatchNorm: BnForward::Train is not an inference mode".into(),
+            )),
+            BnForward::InstanceEval => Ok(BnMode::Instance),
+            BnForward::RunningEval => Ok(BnMode::Eval {
+                mean: self.running_mean.borrow().clone(),
+                var: self.running_var.borrow().clone(),
+            }),
         }
     }
 

@@ -101,6 +101,53 @@ fn concurrent_clients_get_exactly_once_bit_identical_answers() {
     }
 }
 
+/// [`factory`] with every enhancer weight nudged by +0.01: the untrained
+/// enhancer is the identity map, so without this no serve test sees the
+/// enhancement network's (deconvolution) numerics at all.
+fn nudged_factory() -> Framework {
+    let fw = factory();
+    let net = fw.enhancer.as_ref().expect("reduced framework has an enhancer");
+    for p in net.store.params() {
+        for v in p.borrow_mut().value.data_mut() {
+            *v += 0.01;
+        }
+    }
+    fw
+}
+
+#[test]
+fn served_equals_direct_with_a_non_identity_enhancer() {
+    let reference = nudged_factory();
+    let net = reference.enhancer.as_ref().unwrap();
+    let slice = Xorshift::new(3).uniform_tensor([32, 32], 0.0, 1.0);
+    assert!(!net.enhance(&slice).unwrap().all_close(&slice, 1e-3), "enhancer must not be the identity");
+
+    let cfg = ServerCfg {
+        batch: BatchPolicy { max_batch: 4 },
+        pipelines: 2,
+        threshold: THRESHOLD,
+        ..ServerCfg::default()
+    };
+    let server = Server::start(cfg, nudged_factory).expect("server starts");
+    let client = server.client();
+    let pending: Vec<_> = (0..8u64)
+        .map(|seed| {
+            let req = ServeRequest::routine(volume(200 + seed));
+            (seed, client.submit(req).expect("queue bound is above offered load"))
+        })
+        .collect();
+    for (seed, p) in pending {
+        let served = p.wait().expect("server dropped a reply").result.expect("stage failure");
+        let direct = reference.diagnose(&volume(200 + seed), THRESHOLD).unwrap();
+        assert_eq!(
+            served.probability.to_bits(),
+            direct.probability.to_bits(),
+            "seed {seed}: served probability differs from direct diagnose"
+        );
+    }
+    assert_eq!(server.shutdown().snapshot().completed, 8);
+}
+
 #[test]
 fn tcp_front_end_serves_bit_identical_answers() {
     let server = Server::start(

@@ -337,6 +337,7 @@ fn check_matmul_dims(
         (b.dims()[0], b.dims()[1])
     };
     if k != k2 {
+        // cc19-lint: allow(alloc, "cold error branch: the message is formatted only on a shape mismatch")
         return Err(TensorError::Incompatible(format!(
             "matmul inner dims differ: ({m},{k}) x ({k2},{n}) [trans_a={trans_a}, trans_b={trans_b}]"
         )));

@@ -21,7 +21,7 @@ pub mod conv_backend;
 pub mod error;
 pub mod gemm;
 pub mod gemm_conv;
-mod obs;
+pub mod obs;
 pub mod ops;
 pub mod pool;
 pub mod reduce;

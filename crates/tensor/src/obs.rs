@@ -33,17 +33,20 @@ pub(crate) fn gemm() -> &'static GemmObs {
     })
 }
 
-/// Count `flops` into `tensor_conv_flops_total{op,pass}` and start a
-/// `tensor_conv_seconds{op,pass}` timer; dropping the guard observes the
-/// elapsed seconds. Forward passes cost `2·MACs` flops, backward passes
-/// `4·MACs` (the input- and weight-gradient loops each re-run the MACs).
 /// Widening product of dimension extents (the MAC count of a conv loop
 /// nest), safe against `usize` overflow on large-but-valid shapes.
-pub(crate) fn macs(dims: &[usize]) -> u64 {
+pub fn macs(dims: &[usize]) -> u64 {
     dims.iter().map(|&x| x as u64).product()
 }
 
-pub(crate) fn conv_call(op: &'static str, pass: &'static str, flops: u64) -> Timer {
+/// Count `flops` into `tensor_conv_flops_total{op,pass}` and start a
+/// `tensor_conv_seconds{op,pass}` timer; dropping the guard observes the
+/// elapsed seconds (two clock reads per call, on the caller thread).
+/// Forward passes cost `2·MACs` flops, backward passes `4·MACs` (the
+/// input- and weight-gradient loops each re-run the MACs). Public so the
+/// kernel-ladder deconvolution `cc19-ddnet` runs at inference is counted
+/// beside the tensor kernels it replaces.
+pub fn conv_call(op: &'static str, pass: &'static str, flops: u64) -> Timer {
     let reg = cc19_obs::global();
     let labels = [("op", op), ("pass", pass)];
     reg.counter_with("tensor_conv_flops_total", &labels).add(flops);

@@ -58,9 +58,11 @@ echo "=== tier-1: SIMD kernel parity (auto + forced-scalar dispatch) ==="
 # suite under auto dispatch (AVX2 wherever the host supports it); this
 # stage re-runs the cc19-kernels suite in a fresh process with
 # CC19_SIMD=scalar, pinning the public entry points to the forced-scalar
-# ladder bit-for-bit.
+# ladder bit-for-bit. DDnet inference runs its deconvolutions on that
+# ladder (DESIGN.md §8), so the cc19-ddnet evaluator-vs-tape parity
+# suite re-runs on the scalar twin too.
 if [ "$status" -eq 0 ]; then
-    if ! CC19_SIMD=scalar cargo test -q -p cc19-kernels; then
+    if ! CC19_SIMD=scalar cargo test -q -p cc19-kernels -p cc19-ddnet; then
         echo "tier-1: KERNEL PARITY FAILED (CC19_SIMD=scalar)"
         status=1
     fi
