@@ -5,10 +5,15 @@
 //! Input: `(B, 1, D, H, W)` normalized volumes. Output: one logit per
 //! volume; `sigmoid(logit)` is the COVID-positive probability.
 
+use std::rc::Rc;
+
+use cc19_nn::checkpoint::Checkpoint;
+use cc19_nn::exec::{Eval, Exec, Tape};
 use cc19_nn::graph::{Graph, Var};
 use cc19_nn::init::Init;
-use cc19_nn::layers::{BatchNorm, Conv3d, Linear};
+use cc19_nn::layers::{BatchNorm, BnForward, Conv3d, Linear};
 use cc19_nn::param::ParamStore;
+use cc19_nn::ConvBackend;
 use cc19_tensor::conv::Conv2dSpec;
 use cc19_tensor::pool::PoolSpec;
 use cc19_tensor::rng::Xorshift;
@@ -80,14 +85,14 @@ impl DenseLayer3d {
         }
     }
 
-    fn forward(&self, g: &mut Graph, x: Var, leaky: f32, training: bool) -> Result<Var> {
-        let h = self.bn_in.forward(g, x, training)?;
-        let h = g.leaky_relu(h, leaky);
-        let h = self.conv1.forward(g, h)?;
-        let h = self.bn_mid.forward(g, h, training)?;
-        let h = g.leaky_relu(h, leaky);
-        let h = self.conv3.forward(g, h)?;
-        g.concat_channels(&[x, h])
+    fn forward<E: Exec>(&self, ex: &mut E, x: E::V, leaky: f32) -> Result<E::V> {
+        let h = ex.batch_norm(&self.bn_in, x.clone())?;
+        let h = ex.leaky_relu(h, leaky);
+        let h = ex.conv3d(&self.conv1, h)?;
+        let h = ex.batch_norm(&self.bn_mid, h)?;
+        let h = ex.leaky_relu(h, leaky);
+        let h = ex.conv3d(&self.conv3, h)?;
+        ex.concat(x, h)
     }
 }
 
@@ -158,51 +163,71 @@ impl DenseNet3d {
         DenseNet3d { cfg, store, stem, bn_stem, blocks, head }
     }
 
-    /// Forward a `(B, 1, D, H, W)` batch to `(B, 1)` logits.
+    /// Forward a `(B, 1, D, H, W)` batch to `(B, 1)` logits, recorded on
+    /// the tape (batch statistics when `training`, running ones otherwise).
     pub fn forward(&self, g: &mut Graph, x: Var, training: bool) -> Result<Var> {
-        let dims = g.value(x).dims().to_vec();
+        self.check_input(g.value(x).dims())?;
+        let bn = if training { BnForward::Train } else { BnForward::RunningEval };
+        self.run(&mut Tape { g, bn }, x)
+    }
+
+    /// The classifier takes `(B, 1, D, H, W)` with every extent at least
+    /// `2^blocks` (one ×2 pooling per block).
+    fn check_input(&self, dims: &[usize]) -> Result<()> {
         if dims.len() != 5 || dims[1] != 1 {
             return Err(TensorError::Incompatible(format!(
                 "classifier expects (B,1,D,H,W), got {dims:?}"
             )));
         }
         let min_extent = 1usize << self.cfg.blocks;
-        if dims[2] < min_extent || dims[3] < min_extent || dims[4] < min_extent {
+        if dims[2..].iter().any(|&e| e < min_extent) {
             return Err(TensorError::Incompatible(format!(
                 "volume {dims:?} too small for {} pooling stages",
                 self.cfg.blocks
             )));
         }
+        Ok(())
+    }
+
+    /// The network, written once for both executors (`cc19_nn::exec`).
+    fn run<E: Exec>(&self, ex: &mut E, x: E::V) -> Result<E::V> {
         let leaky = self.cfg.leaky;
         let pool = PoolSpec { kernel: 2, stride: 2, padding: 0 };
 
-        let mut h = self.stem.forward(g, x)?;
-        h = self.bn_stem.forward(g, h, training)?;
-        h = g.leaky_relu(h, leaky);
+        let mut h = ex.conv3d(&self.stem, x)?;
+        h = ex.batch_norm(&self.bn_stem, h)?;
+        h = ex.leaky_relu(h, leaky);
 
         for b in &self.blocks {
-            h = g.max_pool3d(h, pool)?;
+            h = ex.max_pool3d(h, pool)?;
             for l in &b.layers {
-                h = l.forward(g, h, leaky, training)?;
+                h = l.forward(ex, h, leaky)?;
             }
-            h = b.transition.forward(g, h)?;
-            h = b.bn_t.forward(g, h, training)?;
-            h = g.leaky_relu(h, leaky);
+            h = ex.conv3d(&b.transition, h)?;
+            h = ex.batch_norm(&b.bn_t, h)?;
+            h = ex.leaky_relu(h, leaky);
         }
-        let pooled = g.global_avg_pool(h)?; // (B, base)
-        self.head.forward(g, pooled)
+        let pooled = ex.global_avg_pool(h)?; // (B, base)
+        ex.linear(&self.head, pooled)
     }
 
-    /// COVID-positive probability for one `(D, H, W)` normalized volume.
+    /// COVID-positive probability for one `(D, H, W)` normalized volume:
+    /// a tape-free forward with running batch-norm statistics whose 3D
+    /// convolutions run the kernel ladder's microkernel
+    /// (`cc19_nn::exec::conv3d_taps`).
     pub fn predict_proba(&self, volume: &Tensor) -> Result<f64> {
-        volume.shape().expect_rank(3)?;
-        let d = volume.dims().to_vec();
-        let x = volume.reshape([1, 1, d[0], d[1], d[2]])?;
-        let mut g = Graph::new();
-        let xv = g.input(x);
-        let logit = self.forward(&mut g, xv, false)?;
-        let z = g.value(logit).data()[0] as f64;
+        let z = self.logit(volume)? as f64;
         Ok(1.0 / (1.0 + (-z).exp()))
+    }
+
+    /// The tape-free logit behind [`DenseNet3d::predict_proba`].
+    fn logit(&self, volume: &Tensor) -> Result<f32> {
+        volume.shape().expect_rank(3)?;
+        let d = volume.dims();
+        let x = volume.reshape([1, 1, d[0], d[1], d[2]])?;
+        self.check_input(x.dims())?;
+        let mut ex = Eval { bn: BnForward::RunningEval, backend: ConvBackend::Auto };
+        Ok(self.run(&mut ex, Rc::new(x))?.data()[0])
     }
 
     /// Total scalar parameter count.
@@ -241,37 +266,21 @@ impl DenseNet3d {
     /// batch-norm running stats) as an in-memory checkpoint — what
     /// [`DenseNet3d::save`] writes to disk, also the weight-identity
     /// input of the monitoring layer's content-addressed study cache.
-    pub fn to_checkpoint(&self) -> cc19_nn::checkpoint::Checkpoint {
-        let mut ck = cc19_nn::checkpoint::Checkpoint::new();
-        ck.push("classifier.config", self.config_fingerprint());
-        ck.push("classifier.params", self.store.snapshot());
-        for (i, bn) in self.batch_norms().into_iter().enumerate() {
-            ck.push(format!("classifier.bn{i}.mean"), bn.running_mean());
-            ck.push(format!("classifier.bn{i}.var"), bn.running_var());
-        }
-        ck
+    pub fn to_checkpoint(&self) -> Checkpoint {
+        Checkpoint::of_network("classifier", self.config_fingerprint(), &self.store, &self.batch_norms())
+    }
+
+    /// Restore a checkpoint produced by [`DenseNet3d::to_checkpoint`] on a
+    /// structurally identical network. A rejected checkpoint changes
+    /// nothing.
+    pub fn load_checkpoint(&self, ck: &Checkpoint) -> std::io::Result<()> {
+        ck.load_network("classifier", &self.config_fingerprint(), &self.store, &self.batch_norms())
     }
 
     /// Load a checkpoint written by [`DenseNet3d::save`] into this
     /// (structurally identical) network.
     pub fn load(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let ck = cc19_nn::checkpoint::Checkpoint::load(path)?;
-        let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-        if ck.get("classifier.config").ok_or_else(|| bad("missing config"))?
-            != self.config_fingerprint()
-        {
-            return Err(bad("checkpoint was saved from a different classifier configuration"));
-        }
-        let params = ck.get("classifier.params").ok_or_else(|| bad("missing params"))?;
-        self.store.load_snapshot(params).map_err(|e| bad(&format!("parameter mismatch: {e}")))?;
-        for (i, bn) in self.batch_norms().into_iter().enumerate() {
-            let mean =
-                ck.get(&format!("classifier.bn{i}.mean")).ok_or_else(|| bad("missing bn mean"))?;
-            let var =
-                ck.get(&format!("classifier.bn{i}.var")).ok_or_else(|| bad("missing bn var"))?;
-            bn.set_running_stats(mean.to_vec(), var.to_vec());
-        }
-        Ok(())
+        self.load_checkpoint(&Checkpoint::load(path)?)
     }
 }
 
@@ -296,6 +305,98 @@ mod tests {
         assert!(net.forward(&mut g, rank4, false).is_err());
         let too_small = g.input(Tensor::zeros([1, 1, 2, 16, 16]));
         assert!(net.forward(&mut g, too_small, false).is_err());
+    }
+
+    /// `cfg` at `seed` with every weight nudged by +0.01 and running
+    /// statistics warmed by one training forward, so eval mode is neither
+    /// the init nor the default statistics.
+    fn nudged(cfg: ClassifierConfig, seed: u64) -> DenseNet3d {
+        let net = DenseNet3d::new(cfg, seed);
+        for p in net.store.params() {
+            for v in p.borrow_mut().value.data_mut() {
+                *v += 0.01;
+            }
+        }
+        let mut g = Graph::new();
+        let x = g.input(Xorshift::new(seed ^ 0x5EED).uniform_tensor([1, 1, 8, 16, 16], 0.0, 1.0));
+        net.forward(&mut g, x, true).unwrap();
+        net
+    }
+
+    #[test]
+    fn evaluator_matches_the_tape_forward() {
+        let shapes = [[4usize, 112, 112], [4, 32, 32], [4, 16, 16], [5, 17, 23], [8, 32, 32], [9, 17, 23]];
+        for (name, cfg) in [("tiny", ClassifierConfig::tiny()), ("reduced", ClassifierConfig::reduced())] {
+            let net = nudged(cfg, 41);
+            let mut rng = Xorshift::new(42);
+            let mut compared = 0;
+            for [d, h, w] in shapes {
+                let vol = rng.uniform_tensor([d, h, w], 0.0, 1.0);
+                let mut g = Graph::new();
+                let x = g.input(vol.reshape([1, 1, d, h, w]).unwrap());
+                let tape = net.forward(&mut g, x, false).map(|y| g.value(y).data()[0]);
+                match (tape, net.logit(&vol)) {
+                    (Ok(want), Ok(got)) => {
+                        assert!((got - want).abs() <= 1e-5, "{name} {d}x{h}x{w}: {got} vs tape {want}");
+                        compared += 1;
+                    }
+                    (Err(TensorError::Incompatible(_)), Err(TensorError::Incompatible(m))) => {
+                        assert!(m.contains("too small"), "{name} {d}x{h}x{w}: {m}");
+                    }
+                    (tape, eval) => panic!("{name} {d}x{h}x{w}: tape {tape:?}, evaluator {eval:?}"),
+                }
+            }
+            assert!(compared >= 2, "{name}: only {compared} shapes fit");
+        }
+    }
+
+    #[test]
+    fn predict_proba_rejects_bad_volumes_with_typed_errors() {
+        let net = nudged(ClassifierConfig::tiny(), 43);
+        let rank = |r: Result<f64>| matches!(r, Err(TensorError::RankMismatch { .. }));
+        let small = |r: Result<f64>| matches!(r, Err(TensorError::Incompatible(m)) if m.contains("too small"));
+        assert!(rank(net.predict_proba(&Tensor::zeros([16, 16]))));
+        assert!(rank(net.predict_proba(&Tensor::zeros([1, 4, 16, 16]))));
+        assert!(small(net.predict_proba(&Tensor::zeros([3, 16, 16]))));
+        assert!(small(net.predict_proba(&Tensor::zeros([4, 16, 2]))));
+    }
+
+    /// `net`'s checkpoint with `edit` applied, written where `load` reads.
+    fn edited_checkpoint(net: &DenseNet3d, file: &str, edit: impl Fn(&mut Checkpoint)) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("cc19_cls_ckpt");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut ck = net.to_checkpoint();
+        edit(&mut ck);
+        let path = dir.join(file);
+        ck.save(&path).unwrap();
+        path
+    }
+
+    #[test]
+    fn a_failed_load_changes_nothing() {
+        let (net, donor) = (nudged(ClassifierConfig::tiny(), 44), nudged(ClassifierConfig::tiny(), 45));
+        let vol = Xorshift::new(46).uniform_tensor([4, 16, 16], 0.0, 1.0);
+        let before = net.predict_proba(&vol).unwrap();
+        let path = edited_checkpoint(&donor, "missing_var.ckpt", |ck| {
+            ck.sections.retain(|(n, _)| n != "classifier.bn3.var");
+        });
+        assert!(net.load(&path).is_err());
+        let after = net.predict_proba(&vol).unwrap();
+        assert_eq!(after.to_bits(), before.to_bits(), "a rejected checkpoint must not half-apply");
+        assert_ne!(donor.predict_proba(&vol).unwrap(), before, "the donor must differ");
+    }
+
+    #[test]
+    fn wrong_length_statistics_are_rejected_at_load() {
+        let (net, donor) = (nudged(ClassifierConfig::tiny(), 47), nudged(ClassifierConfig::tiny(), 48));
+        let vol = Xorshift::new(49).uniform_tensor([4, 16, 16], 0.0, 1.0);
+        let before = net.predict_proba(&vol).unwrap();
+        let path = edited_checkpoint(&donor, "short_mean.ckpt", |ck| {
+            let (_, mean) = ck.sections.iter_mut().find(|(n, _)| n == "classifier.bn3.mean").unwrap();
+            mean.pop();
+        });
+        assert!(net.load(&path).is_err(), "a short statistic must be rejected at load");
+        assert_eq!(net.predict_proba(&vol).unwrap().to_bits(), before.to_bits());
     }
 
     #[test]

@@ -19,7 +19,6 @@
 
 
 pub mod baselines;
-mod exec;
 pub mod model;
 pub mod projection;
 pub mod trainer;

@@ -2,6 +2,8 @@
 
 use std::rc::Rc;
 
+use cc19_nn::checkpoint::Checkpoint;
+use cc19_nn::exec::{owned, Eval, Exec, Tape};
 use cc19_nn::graph::{Graph, Var};
 use cc19_nn::init::Init;
 use cc19_nn::layers::{BatchNorm, BnForward, Conv2d, ConvTranspose2d};
@@ -12,7 +14,6 @@ use cc19_tensor::pool::PoolSpec;
 use cc19_tensor::rng::Xorshift;
 use cc19_tensor::{Tensor, TensorError};
 
-use crate::exec::{owned, Eval, Exec, Tape};
 use crate::Result;
 
 /// DDnet hyper-parameters.
@@ -343,7 +344,7 @@ impl Ddnet {
         }
     }
 
-    /// The network, written once for both executors (`exec`).
+    /// The network, written once for both executors (`cc19_nn::exec`).
     fn run<E: Exec>(&self, ex: &mut E, x: E::V) -> Result<E::V> {
         let leaky = self.cfg.leaky;
         let pool = PoolSpec::DDNET;
@@ -470,15 +471,8 @@ impl Ddnet {
     /// Capture weights + batch-norm running statistics as checkpoint
     /// sections (the trainer-state checkpoints in `cc19-dist` embed these
     /// alongside optimizer state).
-    pub fn to_checkpoint(&self) -> cc19_nn::checkpoint::Checkpoint {
-        let mut ck = cc19_nn::checkpoint::Checkpoint::new();
-        ck.push("ddnet.config", self.config_fingerprint());
-        ck.push("ddnet.params", self.store.snapshot());
-        for (i, bn) in self.batch_norms().into_iter().enumerate() {
-            ck.push(format!("ddnet.bn{i}.mean"), bn.running_mean());
-            ck.push(format!("ddnet.bn{i}.var"), bn.running_var());
-        }
-        ck
+    pub fn to_checkpoint(&self) -> Checkpoint {
+        Checkpoint::of_network("ddnet", self.config_fingerprint(), &self.store, &self.batch_norms())
     }
 
     /// Save weights + batch-norm running statistics to a checkpoint file.
@@ -488,33 +482,15 @@ impl Ddnet {
 
     /// Restore weights + batch-norm statistics from checkpoint sections
     /// produced by [`Ddnet::to_checkpoint`] on a structurally identical
-    /// network.
-    pub fn load_checkpoint(&self, ck: &cc19_nn::checkpoint::Checkpoint) -> std::io::Result<()> {
-        let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-        let cfg = ck.get("ddnet.config").ok_or_else(|| bad("missing config section"))?;
-        if cfg != self.config_fingerprint() {
-            return Err(bad("checkpoint was saved from a different DDnet configuration"));
-        }
-        let params = ck.get("ddnet.params").ok_or_else(|| bad("missing params section"))?;
-        self.store
-            .load_snapshot(params)
-            .map_err(|e| bad(&format!("parameter mismatch: {e}")))?;
-        for (i, bn) in self.batch_norms().into_iter().enumerate() {
-            let mean = ck
-                .get(&format!("ddnet.bn{i}.mean"))
-                .ok_or_else(|| bad("missing batch-norm mean"))?;
-            let var =
-                ck.get(&format!("ddnet.bn{i}.var")).ok_or_else(|| bad("missing batch-norm var"))?;
-            bn.set_running_stats(mean.to_vec(), var.to_vec());
-        }
-        Ok(())
+    /// network. A rejected checkpoint changes nothing.
+    pub fn load_checkpoint(&self, ck: &Checkpoint) -> std::io::Result<()> {
+        ck.load_network("ddnet", &self.config_fingerprint(), &self.store, &self.batch_norms())
     }
 
     /// Load weights + batch-norm statistics saved by [`Ddnet::save`] into
     /// this (structurally identical) network.
     pub fn load(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let ck = cc19_nn::checkpoint::Checkpoint::load(path)?;
-        self.load_checkpoint(&ck)
+        self.load_checkpoint(&Checkpoint::load(path)?)
     }
 
     /// The architecture audit table for an `n`×`n` input — compare with
@@ -765,6 +741,46 @@ pub(crate) mod tests {
         // wrong architecture is rejected
         let wrong = Ddnet::new(DdnetConfig::reduced(), 1);
         assert!(wrong.load(&path).is_err());
+    }
+
+    /// A nudged running-statistics tiny net (so its batch-norm statistics
+    /// reach `enhance`) warmed by one training forward, and a 32² image.
+    fn running_net(seed: u64) -> (Ddnet, Tensor) {
+        let mut cfg = DdnetConfig::tiny();
+        cfg.instance_norm_eval = false;
+        let net = nudged(cfg, seed);
+        let img = Xorshift::new(seed ^ 0x5EED).uniform_tensor([32, 32], 0.0, 1.0);
+        let mut g = Graph::new();
+        let x = g.input(img.reshape([1, 1, 32, 32]).unwrap());
+        net.forward(&mut g, x, true).unwrap();
+        (net, img)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_failed_load_changes_nothing() {
+        let ((net, img), (donor, _)) = (running_net(51), running_net(52));
+        let before = net.enhance(&img).unwrap();
+        let mut ck = donor.to_checkpoint();
+        ck.sections.retain(|(n, _)| n != "ddnet.bn3.var");
+        assert!(net.load_checkpoint(&ck).is_err());
+        assert_eq!(bits(&net.enhance(&img).unwrap()), bits(&before), "a rejected checkpoint must not half-apply");
+        net.load_checkpoint(&donor.to_checkpoint()).unwrap();
+        assert_eq!(bits(&net.enhance(&img).unwrap()), bits(&donor.enhance(&img).unwrap()));
+    }
+
+    #[test]
+    fn wrong_length_statistics_are_rejected_at_load() {
+        let ((net, img), (donor, _)) = (running_net(53), running_net(54));
+        let before = net.enhance(&img).unwrap();
+        let mut ck = donor.to_checkpoint();
+        let (_, mean) = ck.sections.iter_mut().find(|(n, _)| n == "ddnet.bn3.mean").unwrap();
+        mean.pop();
+        assert!(net.load_checkpoint(&ck).is_err(), "a short statistic must be rejected at load");
+        assert_eq!(bits(&net.enhance(&img).unwrap()), bits(&before));
     }
 
     #[test]

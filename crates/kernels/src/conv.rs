@@ -3,11 +3,14 @@
 //!
 //! Operates on plain row-major buffers — one image `(Cin, H, W)`, weights
 //! `(Cout, Cin, K, K)` — mirroring the OpenCL kernel signatures.
+//! [`conv3d_with`] lowers a stride-1 cubic 3D convolution of one
+//! `(Cin, D, H, W)` volume onto the same 2D kernels.
 
+use cc19_tensor::TensorError;
 use rayon::prelude::*;
 
 use crate::simd::{self, SimdLevel};
-use crate::{ConvKernel, OptLevel};
+use crate::{ConvKernel, OptLevel, Result};
 
 /// Shape of a stride-1 'same'-padded convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +83,155 @@ pub fn conv2d_with(
         ConvKernel::Avx2Prefetch => conv_avx2(input, weight, bias, s, true, false),
         ConvKernel::Avx2PrefetchUnrolled => conv_avx2(input, weight, bias, s, true, true),
     }
+}
+
+/// Shape of a stride-1 convolution of one `(Cin, D, H, W)` volume by a
+/// cubic `(Cout, Cin, K, K, K)` filter, zero-padded by `pad` on every
+/// side. Build it with [`Conv3dShape::new`], which rejects what
+/// [`conv3d_with`] cannot run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Conv3dShape {
+    /// Input channels.
+    pub cin: usize,
+    /// Output channels.
+    pub cout: usize,
+    /// Depth.
+    pub d: usize,
+    /// Height.
+    pub h: usize,
+    /// Width.
+    pub w: usize,
+    /// Cubic filter extent.
+    pub k: usize,
+    /// Zero padding on each side, in all three dimensions.
+    pub pad: usize,
+}
+
+impl Conv3dShape {
+    /// The shape of convolving a `(Cin, D, H, W)` volume by a
+    /// `(Cout, Cin, KD, KH, KW)` weight at `stride` / `pad`. A stride
+    /// other than 1, a non-cubic filter, mismatched channels, or a
+    /// padding of at least the filter extent (an output depth with no
+    /// tap inside the volume) is a typed error.
+    pub fn new(input: &[usize], weight: &[usize], stride: usize, pad: usize) -> Result<Self> {
+        let why = if input.len() != 4 || weight.len() != 5 || input.contains(&0) || weight.contains(&0) {
+            "want a (Cin,D,H,W) volume and a (Cout,Cin,K,K,K) weight"
+        } else if weight[3] != weight[2] || weight[4] != weight[2] {
+            "the filter is not cubic"
+        } else if stride != 1 {
+            "the kernel ladder runs stride 1 only"
+        } else if input[0] != weight[1] {
+            "input and weight channels differ"
+        } else if pad >= weight[2] || input[1].min(input[2]).min(input[3]) + 2 * pad < weight[2] {
+            "the padding does not fit the filter"
+        } else {
+            let (cin, cout, k) = (input[0], weight[0], weight[2]);
+            return Ok(Conv3dShape { cin, cout, d: input[1], h: input[2], w: input[3], k, pad });
+        };
+        // cc19-lint: allow(alloc, "cold error branch: formats the rejected shape")
+        let m = format!("conv3d: {why}: input {input:?}, weight {weight:?}, stride {stride}, padding {pad}");
+        Err(TensorError::Incompatible(m))
+    }
+
+    /// Buffer length of the input.
+    pub fn in_len(&self) -> usize {
+        self.cin * self.d * self.h * self.w
+    }
+
+    /// Output `(depth, height, width)`.
+    pub fn out_dhw(&self) -> (usize, usize, usize) {
+        let p = self.plane(1);
+        (self.d + 2 * self.pad - self.k + 1, p.out_h(), p.out_w())
+    }
+
+    /// Buffer length of the output.
+    pub fn out_len(&self) -> usize {
+        let (od, oh, ow) = self.out_dhw();
+        self.cout * od * oh * ow
+    }
+
+    /// The 2D convolution over `taps` depth slabs stacked as channels.
+    fn plane(&self, taps: usize) -> ConvShape {
+        ConvShape { cin: taps * self.cin, cout: self.cout, h: self.h, w: self.w, k: self.k, pad: self.pad }
+    }
+}
+
+/// Run a 3D convolution at an explicit `(stage, dispatch)` pair on the 2D
+/// kernel ladder ([`conv2d_with`]):
+///
+/// - a 1×1×1 filter is one 2D call on the volume viewed as `(Cin, D·H, W)`;
+/// - a K×K×K filter takes one 2D call per output depth `oz`. Its input is
+///   the `(Cin, H, W)` depth slabs `oz + kz − pad` of the taps `kz` that
+///   fall inside the volume, stacked as channels; its weight is the
+///   matching tap-`kz` `(Cout, Cin, K, K)` slices. The sum over depth taps
+///   thus runs in the microkernel's accumulators and the bias is added
+///   once. Taps outside the volume are skipped, not multiplied by zeros.
+///
+/// `input` is `(Cin, D, H, W)`, `weight` `(Cout, Cin, K, K, K)`, the result
+/// `(Cout, OD, OH, OW)`.
+pub fn conv3d_with(
+    level: OptLevel,
+    simd: SimdLevel,
+    input: &[f32],
+    weight: &[f32],
+    bias: &[f32],
+    s: Conv3dShape,
+) -> Vec<f32> {
+    debug_assert_eq!(input.len(), s.in_len());
+    debug_assert_eq!(weight.len(), s.cout * s.cin * s.k.pow(3));
+    debug_assert_eq!(bias.len(), s.cout);
+    if s.k == 1 && s.pad == 0 {
+        let flat = ConvShape { cin: s.cin, cout: s.cout, h: s.d * s.h, w: s.w, k: 1, pad: 0 };
+        return conv2d_with(level, simd, input, weight, bias, flat);
+    }
+    // Depth-major `(D, Cin, H, W)` order makes the slabs of consecutive
+    // taps one contiguous `(taps·Cin, H, W)` block; with one channel or
+    // one slab the input already is in that order.
+    let hw = s.h * s.w;
+    let slab = s.cin * hw;
+    // cc19-lint: allow(alloc, "allocating twin: one depth-major copy of the input volume per call")
+    let mut depth_major = Vec::new();
+    let slabs: &[f32] = if s.cin == 1 || s.d == 1 {
+        input
+    } else {
+        depth_major.reserve_exact(s.in_len());
+        for iz in 0..s.d {
+            for ci in 0..s.cin {
+                let at = (ci * s.d + iz) * hw;
+                depth_major.extend_from_slice(&input[at..at + hw]);
+            }
+        }
+        &depth_major
+    };
+    let depth = |oz: usize| {
+        let (lo, hi) = (s.pad.saturating_sub(oz), s.k.min(s.d + s.pad - oz));
+        let kk = s.k * s.k;
+        // cc19-lint: allow(alloc, "allocating twin: the (Cout, taps·Cin, K, K) filter slices of one output depth")
+        let mut taps = Vec::with_capacity(s.cout * (hi - lo) * s.cin * kk);
+        for co in 0..s.cout {
+            for kz in lo..hi {
+                for ci in 0..s.cin {
+                    let at = ((co * s.cin + ci) * s.k + kz) * kk;
+                    taps.extend_from_slice(&weight[at..at + kk]);
+                }
+            }
+        }
+        let iz = oz + lo - s.pad;
+        conv2d_with(level, simd, &slabs[iz * slab..(iz + hi - lo) * slab], &taps, bias, s.plane(hi - lo))
+    };
+    let (od, oh, ow) = s.out_dhw();
+    if od == 1 {
+        return depth(0);
+    }
+    let ohw = oh * ow;
+    // cc19-lint: allow(alloc, "allocating twin: the output buffer is the return value")
+    let mut out = vec![0.0f32; s.out_len()];
+    for oz in 0..od {
+        for (co, plane) in depth(oz).chunks_exact(ohw).enumerate() {
+            out[(co * od + oz) * ohw..][..ohw].copy_from_slice(plane);
+        }
+    }
+    out
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -327,6 +479,41 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn conv3d_shape_rejects_what_the_ladder_cannot_run() {
+        let ok = Conv3dShape::new(&[4, 2, 9, 7], &[3, 4, 3, 3, 3], 1, 1).unwrap();
+        assert_eq!((ok.out_dhw(), ok.out_len()), ((2, 9, 7), 3 * 2 * 9 * 7));
+        let err = |input: &[usize], weight: &[usize], stride, pad| {
+            matches!(Conv3dShape::new(input, weight, stride, pad), Err(TensorError::Incompatible(_)))
+        };
+        assert!(err(&[4, 2, 9, 7], &[3, 4, 3, 3, 3], 2, 1), "stride 2");
+        assert!(err(&[4, 2, 9, 7], &[3, 4, 1, 3, 3], 1, 1), "non-cubic filter");
+        assert!(err(&[4, 2, 9, 7], &[3, 5, 3, 3, 3], 1, 1), "channel mismatch");
+        assert!(err(&[4, 2, 9, 7], &[3, 4, 3, 3, 3], 1, 3), "padding >= filter extent");
+        assert!(err(&[4, 1, 9, 7], &[3, 4, 3, 3, 3], 1, 0), "filter deeper than the volume");
+        assert!(err(&[2, 9, 7], &[3, 4, 3, 3, 3], 1, 1), "rank-3 input");
+        assert!(err(&[4, 0, 9, 7], &[3, 4, 3, 3, 3], 1, 1), "empty volume");
+    }
+
+    #[test]
+    fn conv3d_of_one_slab_is_the_2d_convolution() {
+        // D = 1 with pad 1: only the centre depth tap is inside the volume.
+        let s3 = Conv3dShape::new(&[3, 1, 8, 6], &[2, 3, 3, 3, 3], 1, 1).unwrap();
+        let s2 = ConvShape { cin: 3, cout: 2, h: 8, w: 6, k: 3, pad: 1 };
+        let (input, w2, bias) = random_case(41, s2);
+        let mut w3 = vec![0.0f32; 2 * 3 * 27];
+        for (i, tap) in w2.chunks_exact(9).enumerate() {
+            w3[i * 27 + 9..i * 27 + 18].copy_from_slice(tap); // kz = 1
+            w3[i * 27..i * 27 + 9].fill(f32::NAN); // outside taps must not be read
+            w3[i * 27 + 18..i * 27 + 27].fill(f32::NAN);
+        }
+        for level in OptLevel::ALL {
+            let got = conv3d_with(level, simd::active(), &input, &w3, &bias, s3);
+            let want = conv2d_with(level, simd::active(), &input, &w2, &bias, s2);
+            assert_eq!(got, want, "{level:?}");
         }
     }
 

@@ -18,6 +18,9 @@
 //!   traversal; same envelope. The Baseline scatter has no vector twin
 //!   (`OptLevel::deconv_kernel` maps it to the scalar scatter at every
 //!   dispatch level), so its "parity" is exactness by construction.
+//! - **3D convolution** (`conv3d_with`, which lowers onto the conv ladder
+//!   one output depth at a time): every stage under both dispatches
+//!   against a naive f64 oracle, within `1e-5·(1 + |e|)`.
 //!
 //! The suite runs under both tier-1 invocations: bare (auto dispatch —
 //! AVX2 wherever the host supports it) and `CC19_SIMD=scalar`, where
@@ -26,7 +29,7 @@
 
 use proptest::prelude::*;
 
-use cc19_kernels::conv::{conv2d, conv2d_with, ConvShape};
+use cc19_kernels::conv::{conv2d, conv2d_with, conv3d_with, Conv3dShape, ConvShape};
 use cc19_kernels::deconv::{deconv2d, deconv2d_with, out_h, out_w};
 use cc19_kernels::simd::{self, SimdLevel};
 use cc19_kernels::OptLevel;
@@ -203,6 +206,84 @@ proptest! {
                 exp_dec.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "deconv {:?} public vs explicit {:?}", level, active
             );
+        }
+    }
+}
+
+/// Naive f64 3D convolution: `(Cin, D, H, W)` by `(Cout, Cin, K, K, K)`,
+/// stride 1, zero padding `pad` — the oracle for [`conv3d_with`].
+fn conv3d_oracle(input: &[f32], weight: &[f32], bias: &[f32], s: Conv3dShape) -> Vec<f64> {
+    let (od, oh, ow) = s.out_dhw();
+    let at = |extent: usize, o: usize, t: usize| (o + t).checked_sub(s.pad).filter(|&i| i < extent);
+    let mut out = Vec::with_capacity(s.cout * od * oh * ow);
+    for co in 0..s.cout {
+        for oz in 0..od {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = bias[co] as f64;
+                    for ci in 0..s.cin {
+                        for kz in 0..s.k {
+                            for ky in 0..s.k {
+                                for kx in 0..s.k {
+                                    let (Some(iz), Some(iy), Some(ix)) =
+                                        (at(s.d, oz, kz), at(s.h, oy, ky), at(s.w, ox, kx))
+                                    else {
+                                        continue;
+                                    };
+                                    let x = input[((ci * s.d + iz) * s.h + iy) * s.w + ix];
+                                    let wv = weight[(((co * s.cin + ci) * s.k + kz) * s.k + ky) * s.k + kx];
+                                    acc += x as f64 * wv as f64;
+                                }
+                            }
+                        }
+                    }
+                    out.push(acc);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Every stage of the 3D convolution, on the scalar ladder and (where
+/// the host has it) the AVX2 one, against the f64 oracle: 1×1×1 and
+/// 3×3×3 filters, the one-channel stem, depths 1–4, and widths on both
+/// sides of the 8-lane vector width.
+#[test]
+fn conv3d_matches_the_f64_oracle_on_both_ladders() {
+    let dispatches: &[SimdLevel] = if simd::detected() == SimdLevel::Avx2 {
+        &[SimdLevel::Scalar, SimdLevel::Avx2]
+    } else {
+        &[SimdLevel::Scalar]
+    };
+    let mut seed = 0;
+    for (k, pad) in [(1usize, 0usize), (3, 1), (3, 0)] {
+        for (cin, cout) in [(1usize, 4usize), (4, 4), (3, 2)] {
+            for (d, h, w) in [(1usize, 5usize, 5usize), (2, 6, 7), (4, 9, 13), (3, 11, 19)] {
+                if d + 2 * pad < k {
+                    continue;
+                }
+                seed += 1;
+                let s = Conv3dShape::new(&[cin, d, h, w], &[cout, cin, k, k, k], 1, pad).unwrap();
+                let mut rng = Xorshift::new(seed);
+                let input: Vec<f32> = (0..s.in_len()).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                let weight: Vec<f32> = (0..cout * cin * k * k * k).map(|_| rng.uniform(-0.5, 0.5)).collect();
+                let bias: Vec<f32> = (0..cout).map(|_| rng.uniform(-0.2, 0.2)).collect();
+                let want = conv3d_oracle(&input, &weight, &bias, s);
+                assert_eq!(want.len(), s.out_len());
+                for &dispatch in dispatches {
+                    for level in OptLevel::ALL {
+                        let got = conv3d_with(level, dispatch, &input, &weight, &bias, s);
+                        assert_eq!(got.len(), want.len());
+                        for (i, (&g, &e)) in got.iter().zip(&want).enumerate() {
+                            assert!(
+                                (g as f64 - e).abs() <= 1e-5 * (1.0 + e.abs()),
+                                "{level:?}/{dispatch:?} k={k} pad={pad} cin={cin} {d}x{h}x{w} [{i}]: {g} vs {e}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

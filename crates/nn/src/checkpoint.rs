@@ -31,6 +31,9 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+use crate::layers::BatchNorm;
+use crate::param::ParamStore;
+
 const MAGIC: &[u8; 8] = b"CC19CKPT";
 const VERSION: u32 = 2;
 
@@ -275,6 +278,57 @@ impl Checkpoint {
     pub fn load(path: &Path) -> io::Result<Self> {
         let mut r = BufReader::new(File::open(path)?);
         Self::read_from(&mut r)
+    }
+
+    /// A network's state as sections `{prefix}.config` (its configuration
+    /// fingerprint), `{prefix}.params` (the flat parameter snapshot) and
+    /// `{prefix}.bn{i}.mean` / `.var` (each batch-norm layer's running
+    /// statistics, in `bns` order).
+    pub fn of_network(prefix: &str, config: Vec<f32>, store: &ParamStore, bns: &[&BatchNorm]) -> Self {
+        let mut ck = Checkpoint::new();
+        ck.push(format!("{prefix}.config"), config);
+        ck.push(format!("{prefix}.params"), store.snapshot());
+        for (i, bn) in bns.iter().enumerate() {
+            ck.push(format!("{prefix}.bn{i}.mean"), bn.running_mean());
+            ck.push(format!("{prefix}.bn{i}.var"), bn.running_var());
+        }
+        ck
+    }
+
+    /// Restore state written by [`Checkpoint::of_network`] into a
+    /// structurally identical network. Every section is checked first —
+    /// present, and as long as the network's parameters / channels — and
+    /// only then is anything written, so a rejected checkpoint leaves the
+    /// network exactly as it was.
+    pub fn load_network(&self, prefix: &str, config: &[f32], store: &ParamStore, bns: &[&BatchNorm]) -> io::Result<()> {
+        let bad = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
+        let section = |name: String| self.get(&name).ok_or_else(|| bad(format!("missing section {name}")));
+        if section(format!("{prefix}.config"))? != config {
+            return Err(bad(format!("checkpoint was saved from a different {prefix} configuration")));
+        }
+        let params = section(format!("{prefix}.params"))?;
+        if params.len() != store.num_scalars() {
+            return Err(bad(format!("{prefix}.params holds {} values, the network {}", params.len(), store.num_scalars())));
+        }
+        let mut stats = Vec::with_capacity(bns.len());
+        for (i, bn) in bns.iter().enumerate() {
+            let mean = section(format!("{prefix}.bn{i}.mean"))?;
+            let var = section(format!("{prefix}.bn{i}.var"))?;
+            let c = bn.channels();
+            if mean.len() != c || var.len() != c {
+                return Err(bad(format!(
+                    "{prefix}.bn{i} statistics hold {}/{} values, the layer has {c} channels",
+                    mean.len(),
+                    var.len()
+                )));
+            }
+            stats.push((mean, var));
+        }
+        store.load_snapshot(params).map_err(|e| bad(format!("parameter mismatch: {e}")))?;
+        for (bn, (mean, var)) in bns.iter().zip(stats) {
+            bn.set_running_stats(mean.to_vec(), var.to_vec());
+        }
+        Ok(())
     }
 }
 

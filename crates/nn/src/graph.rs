@@ -143,6 +143,27 @@ pub fn batch_norm_in_place(
     Ok((mean, var))
 }
 
+/// Fully-connected forward `x (N,K) @ w (K,M) + b (M)` — the one loop
+/// both the tape ([`Graph::linear`]) and tape-free inference run.
+pub(crate) fn linear_forward(x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Result<Tensor> {
+    let mut out = ops::matmul(x, w)?;
+    if let Some(bias) = b {
+        let m = out.dims()[1];
+        if bias.numel() != m {
+            return Err(TensorError::Incompatible(format!(
+                "linear bias has {} elements, want {m}",
+                bias.numel()
+            )));
+        }
+        for row in out.data_mut().chunks_mut(m) {
+            for (o, &bb) in row.iter_mut().zip(bias.data()) {
+                *o += bb;
+            }
+        }
+    }
+    Ok(out)
+}
+
 /// The autograd tape.
 #[derive(Default)]
 pub struct Graph {
@@ -414,25 +435,7 @@ impl Graph {
 
     /// Fully-connected layer: `x (N,K) @ w (K,M) + b (M)`.
     pub fn linear(&mut self, x: Var, w: Var, b: Option<Var>) -> Result<Var> {
-        let xv = &self.values[x.0];
-        let wv = &self.values[w.0];
-        let mut out = ops::matmul(xv, wv)?;
-        if let Some(bv) = b {
-            let bias = &self.values[bv.0];
-            let m = out.dims()[1];
-            if bias.numel() != m {
-                return Err(TensorError::Incompatible(format!(
-                    "linear bias has {} elements, want {m}",
-                    bias.numel()
-                )));
-            }
-            let bd = bias.data().to_vec();
-            for row in out.data_mut().chunks_mut(m) {
-                for (o, &bb) in row.iter_mut().zip(&bd) {
-                    *o += bb;
-                }
-            }
-        }
+        let out = linear_forward(&self.values[x.0], &self.values[w.0], b.map(|bv| &self.values[bv.0]))?;
         let parents: Vec<Var> = match b {
             Some(bv) => vec![x, w, bv],
             None => vec![x, w],

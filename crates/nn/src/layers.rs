@@ -237,6 +237,11 @@ impl BatchNorm {
         }
     }
 
+    /// Number of channels normalised.
+    pub fn channels(&self) -> usize {
+        self.gamma.borrow().value.numel()
+    }
+
     /// Snapshot of the running mean (tests / checkpoints).
     pub fn running_mean(&self) -> Vec<f32> {
         self.running_mean.borrow().clone()

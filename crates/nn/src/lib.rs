@@ -7,10 +7,12 @@
 //!
 //! The engine is deliberately simple: a `Graph` is rebuilt every forward
 //! pass (define-by-run, like the PyTorch code the paper used); parallelism
-//! lives inside the tensor kernels, not across graph nodes.
+//! lives inside the tensor kernels, not across graph nodes. Inference
+//! skips the tape: [`exec`] runs the same network code without one.
 
 
 pub mod checkpoint;
+pub mod exec;
 pub mod graph;
 pub mod init;
 pub mod layers;

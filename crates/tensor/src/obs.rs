@@ -44,8 +44,8 @@ pub fn macs(dims: &[usize]) -> u64 {
 /// elapsed seconds (two clock reads per call, on the caller thread).
 /// Forward passes cost `2·MACs` flops, backward passes `4·MACs` (the
 /// input- and weight-gradient loops each re-run the MACs). Public so the
-/// kernel-ladder deconvolution `cc19-ddnet` runs at inference is counted
-/// beside the tensor kernels it replaces.
+/// kernel-ladder deconvolutions and 3D convolutions `cc19_nn::exec` runs
+/// at inference are counted beside the tensor kernels they replace.
 pub fn conv_call(op: &'static str, pass: &'static str, flops: u64) -> Timer {
     let reg = cc19_obs::global();
     let labels = [("op", op), ("pass", pass)];

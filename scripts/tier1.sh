@@ -58,11 +58,12 @@ echo "=== tier-1: SIMD kernel parity (auto + forced-scalar dispatch) ==="
 # suite under auto dispatch (AVX2 wherever the host supports it); this
 # stage re-runs the cc19-kernels suite in a fresh process with
 # CC19_SIMD=scalar, pinning the public entry points to the forced-scalar
-# ladder bit-for-bit. DDnet inference runs its deconvolutions on that
-# ladder (DESIGN.md §8), so the cc19-ddnet evaluator-vs-tape parity
-# suite re-runs on the scalar twin too.
+# ladder bit-for-bit. Inference runs DDnet's deconvolutions and the
+# classifier's 3D convolutions on that ladder (DESIGN.md §8), so the
+# executor's own suite (cc19-nn) and both networks' evaluator-vs-tape
+# parity suites (cc19-ddnet, cc19-analysis) re-run on the scalar twin too.
 if [ "$status" -eq 0 ]; then
-    if ! CC19_SIMD=scalar cargo test -q -p cc19-kernels -p cc19-ddnet; then
+    if ! CC19_SIMD=scalar cargo test -q -p cc19-kernels -p cc19-nn -p cc19-ddnet -p cc19-analysis; then
         echo "tier-1: KERNEL PARITY FAILED (CC19_SIMD=scalar)"
         status=1
     fi
