@@ -1,15 +1,13 @@
 //! Table 4: DDnet inference runtime across heterogeneous platforms,
 //! PyTorch vs OpenCL columns.
 //!
-//! The "this host (measured)" row runs the real `cc19-kernels` CPU kernels
-//! on this machine; the six paper platforms are roofline-model predictions
-//! (see `cc19-hetero` and DESIGN.md §2). The reference-graph execution
-//! (`cc19-tensor` conv ops, analogous to the framework/PyTorch path) gives
-//! the measured "framework" column.
+//! The "this host (measured)" row runs the paper network on the kernel
+//! ladder (`Ddnet::enhance_timed` at +LU) on the host running the
+//! harness; the six paper platforms are roofline-model predictions (see
+//! `cc19-hetero` and DESIGN.md §2).
 
-use cc19_bench::{banner, fmt_secs, parse_scale, Scale, TablePrinter};
-use cc19_hetero::{ddnet_class_counts, predict_kernel_times, DEVICES};
-use cc19_kernels::ddnet_exec::{run_ddnet_inference, DdnetShape};
+use cc19_bench::{banner, fmt_secs, parse_scale, timed_ddnet, Scale, TablePrinter};
+use cc19_hetero::{ddnet_class_counts, predict_kernel_times, DdnetShape, DEVICES};
 use cc19_kernels::OptLevel;
 
 fn main() {
@@ -48,28 +46,22 @@ fn main() {
     t.sep();
 
     // Measured rows on this host.
-    let shape = match scale {
-        Scale::Full => DdnetShape::paper(),
-        Scale::Quick => DdnetShape::reduced(256),
+    let n = match scale {
+        Scale::Full => 512,
+        Scale::Quick => 256,
     };
     println!(
-        "\nmeasured on this host ({} threads), input {}x{}:",
+        "\nmeasured on this host ({} threads), input {n}x{n}:",
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        shape.n,
-        shape.n
     );
-    let times = run_ddnet_inference(shape, OptLevel::RefactoredPrefetchUnrolled, 3);
+    let times = timed_ddnet(n, OptLevel::RefactoredPrefetchUnrolled, 3);
     println!(
-        "  hand kernels (OpenCL-equivalent): conv {} + deconv {} + other {} = {} s",
+        "  DDnet on the kernel ladder (OpenCL-equivalent): conv {} + deconv {} + other {} = {} s",
         fmt_secs(times.conv.as_secs_f64()),
         fmt_secs(times.deconv.as_secs_f64()),
         fmt_secs(times.other.as_secs_f64()),
         fmt_secs(times.total().as_secs_f64()),
     );
-    csv.push_str(&format!(
-        "this host (hand kernels; n={}),,{},,\n",
-        shape.n,
-        times.total().as_secs_f64()
-    ));
+    csv.push_str(&format!("this host (kernel ladder; n={n}),,{},,\n", times.total().as_secs_f64()));
     cc19_bench::write_result("table4.csv", &csv);
 }

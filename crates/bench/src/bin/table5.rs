@@ -1,12 +1,12 @@
 //! Table 5: event-based time of the optimized OpenCL kernels
 //! (convolution / deconvolution / other) per platform.
 //!
-//! Paper-platform rows are roofline predictions; a measured row from this
-//! host's real kernels is appended.
+//! Paper-platform rows are roofline predictions; a measured row — the
+//! paper network on the kernel ladder at +LU (`Ddnet::enhance_timed`) on
+//! the host running the harness — is appended.
 
-use cc19_bench::{banner, fmt_secs, parse_scale, Scale, TablePrinter};
-use cc19_hetero::{ddnet_class_counts, predict_kernel_times, DEVICES};
-use cc19_kernels::ddnet_exec::{run_ddnet_inference, DdnetShape};
+use cc19_bench::{banner, fmt_secs, parse_scale, timed_ddnet, Scale, TablePrinter};
+use cc19_hetero::{ddnet_class_counts, predict_kernel_times, DdnetShape, DEVICES};
 use cc19_kernels::OptLevel;
 
 fn main() {
@@ -44,21 +44,20 @@ fn main() {
     }
     t.sep();
 
-    let shape = match scale {
-        Scale::Full => DdnetShape::paper(),
-        Scale::Quick => DdnetShape::reduced(256),
+    let n = match scale {
+        Scale::Full => 512,
+        Scale::Quick => 256,
     };
-    let m = run_ddnet_inference(shape, OptLevel::RefactoredPrefetchUnrolled, 3);
+    let m = timed_ddnet(n, OptLevel::RefactoredPrefetchUnrolled, 3);
     t.row(&[
-        &format!("this host (measured, n={})", shape.n),
+        &format!("this host (measured, n={n})"),
         &fmt_secs(m.conv.as_secs_f64()),
         &fmt_secs(m.deconv.as_secs_f64()),
         &fmt_secs(m.other.as_secs_f64()),
         &"-",
     ]);
     csv.push_str(&format!(
-        "this host (n={}),{},{},{},,,\n",
-        shape.n,
+        "this host (n={n}),{},{},{},,,\n",
         m.conv.as_secs_f64(),
         m.deconv.as_secs_f64(),
         m.other.as_secs_f64()

@@ -2,13 +2,13 @@
 //! Baseline / +REF / +PF / +LU.
 //!
 //! The six paper platforms are model predictions; the measured section
-//! runs all four real kernel stages on this host, demonstrating the same
-//! shape: the scatter→gather refactoring delivers the big win, prefetch
-//! and unrolling shave the rest.
+//! runs the paper network at all four kernel-ladder stages
+//! (`Ddnet::enhance_timed`) on the host running the harness, showing the
+//! same shape: the scatter→gather refactoring delivers the big win,
+//! prefetch and unrolling shave the rest.
 
-use cc19_bench::{banner, fmt_secs, parse_scale, Scale, TablePrinter};
-use cc19_hetero::{predict_table7_row, DEVICES};
-use cc19_kernels::ddnet_exec::{run_ddnet_inference, DdnetShape};
+use cc19_bench::{banner, fmt_secs, parse_scale, timed_ddnet, Scale, TablePrinter};
+use cc19_hetero::{predict_table7_row, DdnetShape, DEVICES};
 use cc19_kernels::OptLevel;
 
 fn main() {
@@ -45,16 +45,17 @@ fn main() {
     }
     t.sep();
 
-    let shape = match scale {
-        Scale::Full => DdnetShape::paper(),
-        Scale::Quick => DdnetShape::reduced(128),
+    let n = match scale {
+        Scale::Full => 512,
+        Scale::Quick => 128,
     };
-    println!("\nmeasured on this host, input {}x{} (all four kernel stages, real kernels):", shape.n, shape.n);
+    println!("\nmeasured on this host, input {n}x{n} (the paper network at all four kernel stages):");
     let mut measured = Vec::new();
     for level in OptLevel::ALL {
-        let times = run_ddnet_inference(shape, level, 5);
-        println!("  {:<26} {} s", level.label(), fmt_secs(times.total().as_secs_f64()));
-        measured.push(times.total().as_secs_f64());
+        let t = timed_ddnet(n, level, 5);
+        let [total, conv, deconv, other] = [t.total(), t.conv, t.deconv, t.other].map(|d| fmt_secs(d.as_secs_f64()));
+        println!("  {:<26} {total} s  (conv {conv} + deconv {deconv} + other {other})", level.label());
+        measured.push(t.total().as_secs_f64());
     }
     println!(
         "  baseline/optimized ratio: {:.1}x (paper CPU: {:.1}x)",
@@ -62,8 +63,8 @@ fn main() {
         6.51 / 1.64
     );
     csv.push_str(&format!(
-        "this host (n={}),{},{},{},{},,,,\n",
-        shape.n, measured[0], measured[1], measured[2], measured[3]
+        "this host (n={n}),{},{},{},{},,,,\n",
+        measured[0], measured[1], measured[2], measured[3]
     ));
     cc19_bench::write_result("table7.csv", &csv);
 }

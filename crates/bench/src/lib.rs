@@ -14,6 +14,10 @@
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
 
+use cc19_ddnet::{Ddnet, DdnetConfig, KernelTimes};
+use cc19_kernels::OptLevel;
+use cc19_tensor::rng::Xorshift;
+
 /// Scale selector parsed from argv.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -99,6 +103,15 @@ pub fn fmt_secs(s: f64) -> String {
     } else {
         format!("{:.1}", s)
     }
+}
+
+/// One `Ddnet::enhance_timed` call of the paper network on a random
+/// `n`×`n` slice at ladder stage `level`: the measured rows of Tables 4,
+/// 5 and 7.
+pub fn timed_ddnet(n: usize, level: OptLevel, seed: u64) -> KernelTimes {
+    let net = Ddnet::new(DdnetConfig::paper(), seed);
+    let img = Xorshift::new(seed).uniform_tensor([n, n], 0.0, 1.0);
+    net.enhance_timed(&img, level).expect("a slice extent divisible by 16").1
 }
 
 /// Standard harness banner.

@@ -21,9 +21,11 @@
 pub mod baselines;
 pub mod model;
 pub mod projection;
+mod timed;
 pub mod trainer;
 
 pub use model::{Ddnet, DdnetConfig, LayerRow};
+pub use timed::KernelTimes;
 pub use trainer::{evaluate_pairs, train_enhancement, EnhancementMetrics, EpochStats, TrainConfig};
 
 /// Crate-wide result alias.

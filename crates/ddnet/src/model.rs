@@ -2,6 +2,7 @@
 
 use std::rc::Rc;
 
+use cc19_kernels::OptLevel;
 use cc19_nn::checkpoint::Checkpoint;
 use cc19_nn::exec::{owned, Eval, Exec, Tape};
 use cc19_nn::graph::{Graph, Var};
@@ -14,6 +15,7 @@ use cc19_tensor::pool::PoolSpec;
 use cc19_tensor::rng::Xorshift;
 use cc19_tensor::{Tensor, TensorError};
 
+use crate::timed::{KernelTimes, Ladder};
 use crate::Result;
 
 /// DDnet hyper-parameters.
@@ -344,7 +346,8 @@ impl Ddnet {
         }
     }
 
-    /// The network, written once for both executors (`cc19_nn::exec`).
+    /// The network, written once for every executor (`cc19_nn::exec`,
+    /// [`Ladder`]).
     fn run<E: Exec>(&self, ex: &mut E, x: E::V) -> Result<E::V> {
         let leaky = self.cfg.leaky;
         let pool = PoolSpec::DDNET;
@@ -379,23 +382,39 @@ impl Ddnet {
         Ok(h)
     }
 
-    /// Tape-free inference forward on a `(B, 1, H, W)` batch: convolutions
-    /// through `conv2d_dispatch(backend)`, deconvolutions on the kernel
-    /// ladder's gather microkernel, batch-norm with per-sample statistics
-    /// in instance-norm configurations (so no sample sees its batch-mates).
-    fn infer(&self, x: Tensor, backend: ConvBackend) -> Result<Tensor> {
-        check_input(x.dims())?;
-        let mut ex = Eval { bn: self.bn_mode(false), backend };
-        Ok(owned(self.run(&mut ex, Rc::new(x))?))
+    /// The tape-free evaluator: convolutions through
+    /// `conv2d_dispatch(backend)`, deconvolutions on the kernel ladder's
+    /// gather microkernel, batch-norm with per-sample statistics in
+    /// instance-norm configurations (so no sample sees its batch-mates).
+    fn eval(&self, backend: ConvBackend) -> Eval {
+        Eval { bn: self.bn_mode(false), backend }
+    }
+
+    /// Tape-free forward on `ex` of an `(H, W)` image (`rank` 2) or a
+    /// `(B, H, W)` stack (`rank` 3), run as a `(B, 1, H, W)` batch.
+    fn infer<E: Exec<V = Rc<Tensor>>>(&self, ex: &mut E, x: &Tensor, rank: usize) -> Result<Tensor> {
+        x.shape().expect_rank(rank)?;
+        let d = x.dims();
+        let batch = x.reshape([if rank == 3 { d[0] } else { 1 }, 1, d[rank - 2], d[rank - 1]])?;
+        check_input(batch.dims())?;
+        let mut y = owned(self.run(ex, Rc::new(batch))?);
+        y.reshape_in_place(d)?;
+        Ok(y)
     }
 
     /// Enhance a single `(n, n)` image in `[0,1]` (inference convenience).
     pub fn enhance(&self, img: &Tensor) -> Result<Tensor> {
-        img.shape().expect_rank(2)?;
-        let (h, w) = (img.dims()[0], img.dims()[1]);
-        let mut y = self.infer(img.reshape([1, 1, h, w])?, ConvBackend::Auto)?;
-        y.reshape_in_place([h, w])?;
-        Ok(y)
+        self.infer(&mut self.eval(ConvBackend::Auto), img, 2)
+    }
+
+    /// [`Ddnet::enhance`] with every convolution and deconvolution on the
+    /// kernel ladder at `level`, one sample at a time, and the time spent
+    /// per kernel class (the measured rows of Tables 4, 5 and 7). The
+    /// output matches `enhance` up to the kernels' accumulation order.
+    pub fn enhance_timed(&self, img: &Tensor, level: OptLevel) -> Result<(Tensor, KernelTimes)> {
+        let mut ex = Ladder { level, eval: self.eval(ConvBackend::Auto), times: KernelTimes::default() };
+        let y = self.infer(&mut ex, img, 2)?;
+        Ok((y, ex.times))
     }
 
     /// Enhance a `(B, H, W)` stack of slices in **one** batched forward
@@ -415,11 +434,7 @@ impl Ddnet {
     /// range of the same kernel and the outputs match the per-slice path
     /// bit for bit (tested in `trainer`).
     pub fn enhance_stack(&self, stack: &Tensor, backend: ConvBackend) -> Result<Tensor> {
-        stack.shape().expect_rank(3)?;
-        let (b, h, w) = (stack.dims()[0], stack.dims()[1], stack.dims()[2]);
-        let mut y = self.infer(stack.reshape([b, 1, h, w])?, backend)?;
-        y.reshape_in_place([b, h, w])?;
-        Ok(y)
+        self.infer(&mut self.eval(backend), stack, 3)
     }
 
     /// Number of *convolution* layers (paper: 37) — 7×7 stem + 2 per dense
@@ -614,7 +629,7 @@ pub(crate) mod tests {
     }
 
     /// `(max |got − want|, that over max |want|, max |want|)`.
-    fn deviation(got: &Tensor, want: &Tensor) -> (f32, f32, f32) {
+    pub(crate) fn deviation(got: &Tensor, want: &Tensor) -> (f32, f32, f32) {
         let abs = got.max_abs_diff(want).unwrap();
         let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         (abs, abs / scale.max(f32::MIN_POSITIVE), scale)

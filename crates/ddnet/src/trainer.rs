@@ -33,10 +33,6 @@ pub struct TrainConfig {
     /// Global gradient-norm clip (stabilizes the small-batch scaled runs;
     /// `None` disables).
     pub grad_clip: Option<f32>,
-    /// Convolution backend for every graph the trainer builds (forward
-    /// and backward). `Auto` picks per layer shape; `CC19_CONV_BACKEND`
-    /// overrides at runtime.
-    pub conv_backend: ConvBackend,
 }
 
 impl TrainConfig {
@@ -49,7 +45,6 @@ impl TrainConfig {
             batch_size: 1,
             ms_ssim_levels: 5,
             grad_clip: None,
-            conv_backend: ConvBackend::Auto,
         }
     }
 
@@ -62,7 +57,6 @@ impl TrainConfig {
             batch_size: 1,
             ms_ssim_levels: 1,
             grad_clip: Some(1.0),
-            conv_backend: ConvBackend::Auto,
         }
     }
 }
@@ -123,7 +117,7 @@ pub fn train_enhancement(
         for chunk in train.chunks(cfg.batch_size) {
             let step_t0 = clock.now_ns();
             let (low, full) = batch_pairs(chunk)?;
-            let mut g = Graph::with_conv_backend(cfg.conv_backend);
+            let mut g = Graph::new();
             let x = g.input(low);
             let t = g.input(full);
             let y = net.forward(&mut g, x, true)?;
@@ -178,7 +172,7 @@ fn validate(net: &Ddnet, val: &[EnhancementPair], cfg: TrainConfig) -> Result<(f
         let (h, w) = (p.low.dims()[0], p.low.dims()[1]);
         let low = p.low.reshape([1, 1, h, w])?;
         let full = p.full.reshape([1, 1, h, w])?;
-        let mut g = Graph::with_conv_backend(cfg.conv_backend);
+        let mut g = Graph::new();
         let x = g.input(low);
         let t = g.input(full);
         let y = net.forward(&mut g, x, false)?;
@@ -321,7 +315,6 @@ mod tests {
             batch_size: 2,
             ms_ssim_levels: 1,
             grad_clip: Some(1.0),
-            conv_backend: ConvBackend::Auto,
         };
 
         let (raw0, enh0) = evaluate_pairs(&net, &val).unwrap();

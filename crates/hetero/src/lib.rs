@@ -21,9 +21,9 @@
 //! - FPGA compute peaks are built from the paper's own configuration: 2
 //!   compute units, ×5 vectorization (deconvolution only), 184 MHz.
 //!
-//! The Xeon CPU rows in the generated tables come from *measurement* (the
-//! real kernels in `cc19-kernels` running on this host), which grounds
-//! the model; the accelerator rows are predictions.
+//! The measured CPU rows in the generated tables come from running the
+//! real network on the kernel ladder (`Ddnet::enhance_timed`) on the
+//! host, which grounds the model; the accelerator rows are predictions.
 
 
 pub mod devices;
@@ -33,7 +33,7 @@ pub mod reconfig;
 
 pub use devices::{Device, DeviceClass, DEVICES};
 pub use host::{derive_cpu_device, host_cpu_device, HostCaps};
-pub use model::{ddnet_class_counts, predict_kernel_times, predict_table7_row, ClassCounts};
+pub use model::{ddnet_class_counts, predict_kernel_times, predict_table7_row, ClassCounts, DdnetShape};
 pub use reconfig::{reconfiguration_decision, ReconfigDecision};
 
 /// Crate-wide result alias.

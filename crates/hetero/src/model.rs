@@ -5,10 +5,34 @@ use cc19_kernels::count::{
     batch_norm_counts, concat_counts, conv_layer_counts, leaky_relu_counts, pool_layer_counts,
     unpool_layer_counts,
 };
-use cc19_kernels::ddnet_exec::DdnetShape;
 use cc19_kernels::{OpCounts, OptLevel};
 
 use crate::devices::{Device, DeviceClass};
+
+/// DDnet shape parameters for the analytic count walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DdnetShape {
+    /// Input extent (square).
+    pub n: usize,
+    /// Stem / transition width (paper: 16).
+    pub base: usize,
+    /// Dense growth rate (paper: 16).
+    pub growth: usize,
+    /// Dense layers per block (paper: 4).
+    pub per_block: usize,
+}
+
+impl DdnetShape {
+    /// The paper's 512×512 configuration.
+    pub fn paper() -> Self {
+        DdnetShape { n: 512, base: 16, growth: 16, per_block: 4 }
+    }
+
+    /// Reduced shape for quick runs.
+    pub fn reduced(n: usize) -> Self {
+        DdnetShape { n, base: 16, growth: 16, per_block: 4 }
+    }
+}
 
 /// Operation totals per kernel class for one DDnet inference.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -21,8 +45,12 @@ pub struct ClassCounts {
     pub other: OpCounts,
 }
 
-/// Walk the Table 2 layer sequence (as `cc19-kernels::ddnet_exec` executes
-/// it) and accumulate analytic operation counts per kernel class.
+/// Walk the Table 2 layer sequence and accumulate analytic operation
+/// counts per kernel class. The convolution and deconvolution totals are
+/// exactly the FLOPs `Ddnet::enhance_timed` runs (pinned by a test in
+/// `cc19-bench`); the "other" walk charges each batch norm and activation
+/// to the layer before it, where `Ddnet::run`'s dense layers put them
+/// before their convolutions.
 pub fn ddnet_class_counts(shape: DdnetShape) -> ClassCounts {
     let DdnetShape { n, base, growth, per_block } = shape;
     let (n, base, growth) = (n as u64, base as u64, growth as u64);

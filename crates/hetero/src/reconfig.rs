@@ -11,11 +11,10 @@
 //!
 //! This module models that decision.
 
-use cc19_kernels::ddnet_exec::DdnetShape;
 use cc19_kernels::OptLevel;
 
 use crate::devices::{Device, DeviceClass};
-use crate::model::{ddnet_class_counts, predict_kernel_times};
+use crate::model::{ddnet_class_counts, predict_kernel_times, DdnetShape};
 
 /// Typical full-fabric reconfiguration time of an Arria 10-class part
 /// (hundreds of ms to a couple of seconds; we use 1 s).

@@ -63,6 +63,12 @@ pub fn conv2d(level: OptLevel, input: &[f32], weight: &[f32], bias: &[f32], s: C
 /// the parity suite's entry point. Passing [`SimdLevel::Avx2`] requires
 /// `simd::detected() == Avx2` (the vector entry asserts it; the AVX2
 /// arms are compiled out entirely on non-x86_64).
+///
+/// # Panics
+///
+/// When a buffer's length does not match `s`, or the filter is larger
+/// than the padded input. These checks guard the AVX2 microkernel's
+/// unchecked loads and run in release builds too.
 // cc19-hot
 pub fn conv2d_with(
     level: OptLevel,
@@ -72,9 +78,10 @@ pub fn conv2d_with(
     bias: &[f32],
     s: ConvShape,
 ) -> Vec<f32> {
-    debug_assert_eq!(input.len(), s.in_len());
-    debug_assert_eq!(weight.len(), s.cout * s.cin * s.k * s.k);
-    debug_assert_eq!(bias.len(), s.cout);
+    assert_eq!(input.len(), s.in_len(), "conv2d_with: input length");
+    assert_eq!(weight.len(), s.cout * s.cin * s.k * s.k, "conv2d_with: weight length");
+    assert_eq!(bias.len(), s.cout, "conv2d_with: bias length");
+    assert!(s.k <= s.h.min(s.w) + 2 * s.pad, "conv2d_with: filter larger than the padded input: {s:?}");
     match level.conv_kernel(simd) {
         ConvKernel::ScalarNaive => conv_baseline(input, weight, bias, s),
         ConvKernel::ScalarHoisted => conv_prefetch(input, weight, bias, s, false),
@@ -169,6 +176,11 @@ impl Conv3dShape {
 ///
 /// `input` is `(Cin, D, H, W)`, `weight` `(Cout, Cin, K, K, K)`, the result
 /// `(Cout, OD, OH, OW)`.
+///
+/// # Panics
+///
+/// When a buffer's length does not match `s`, or `s` is a shape
+/// [`Conv3dShape::new`] rejects (release builds too).
 pub fn conv3d_with(
     level: OptLevel,
     simd: SimdLevel,
@@ -177,9 +189,13 @@ pub fn conv3d_with(
     bias: &[f32],
     s: Conv3dShape,
 ) -> Vec<f32> {
-    debug_assert_eq!(input.len(), s.in_len());
-    debug_assert_eq!(weight.len(), s.cout * s.cin * s.k.pow(3));
-    debug_assert_eq!(bias.len(), s.cout);
+    assert_eq!(input.len(), s.in_len(), "conv3d_with: input length");
+    assert_eq!(weight.len(), s.cout * s.cin * s.k.pow(3), "conv3d_with: weight length");
+    assert_eq!(bias.len(), s.cout, "conv3d_with: bias length");
+    assert!(
+        s.pad < s.k && s.k <= s.d.min(s.h).min(s.w) + 2 * s.pad,
+        "conv3d_with: the padding does not fit the filter: {s:?}"
+    );
     if s.k == 1 && s.pad == 0 {
         let flat = ConvShape { cin: s.cin, cout: s.cout, h: s.d * s.h, w: s.w, k: 1, pad: 0 };
         return conv2d_with(level, simd, input, weight, bias, flat);

@@ -108,26 +108,14 @@ impl std::ops::AddAssign for OpCounts {
 /// Analytic counts for an `h × w × c` input with `k × k` filters
 /// (the paper's Table 6 uses 512 × 512 × 32 and k = 5).
 pub fn kernel_counts(h: u64, w: u64, c: u64, k: u64) -> KernelCounts {
-    let e = h * w * c;
-    let conv_taps = e * c * k * k;
-    let conv = OpCounts { loads: 2 * conv_taps, stores: e, flops: 2 * conv_taps };
-
-    let pool_out = (h / 2) * (w / 2) * c;
-    let pooling = OpCounts { loads: 9 * pool_out, stores: pool_out, flops: 0 };
-
-    let up_out = 4 * e;
-    let unpooling = OpCounts { loads: 4 * up_out, stores: up_out, flops: 14 * up_out };
-
-    let leaky_relu = OpCounts { loads: e, stores: e, flops: e };
-    let batch_norm = OpCounts { loads: 5 * e, stores: e, flops: 5 * e };
-
+    let (e, conv) = (h * w * c, conv_layer_counts(h, w, c, c, k));
     KernelCounts {
         convolution: conv,
         deconvolution: conv,
-        pooling,
-        unpooling,
-        leaky_relu,
-        batch_norm,
+        pooling: pool_layer_counts(h, w, c),
+        unpooling: unpool_layer_counts(h, w, c),
+        leaky_relu: leaky_relu_counts(e),
+        batch_norm: batch_norm_counts(e),
     }
 }
 

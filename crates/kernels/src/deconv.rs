@@ -41,6 +41,12 @@ pub fn deconv2d(level: OptLevel, input: &[f32], weight: &[f32], bias: &[f32], s:
 /// at [`SimdLevel::Avx2`] (see [`OptLevel::deconv_kernel`]); the other
 /// AVX2 arms require `simd::detected() == Avx2` and are compiled out on
 /// non-x86_64.
+///
+/// # Panics
+///
+/// When a buffer's length does not match `s`, or the padding would leave
+/// a negative output extent (`2·pad ≥ H + K`). These checks guard the
+/// AVX2 microkernel's unchecked loads and run in release builds too.
 pub fn deconv2d_with(
     level: OptLevel,
     simd: SimdLevel,
@@ -49,9 +55,10 @@ pub fn deconv2d_with(
     bias: &[f32],
     s: ConvShape,
 ) -> Vec<f32> {
-    debug_assert_eq!(input.len(), s.cin * s.h * s.w);
-    debug_assert_eq!(weight.len(), s.cin * s.cout * s.k * s.k);
-    debug_assert_eq!(bias.len(), s.cout);
+    assert_eq!(input.len(), s.in_len(), "deconv2d_with: input length");
+    assert_eq!(weight.len(), s.cin * s.cout * s.k * s.k, "deconv2d_with: weight length");
+    assert_eq!(bias.len(), s.cout, "deconv2d_with: bias length");
+    assert!(2 * s.pad < s.h.min(s.w) + s.k, "deconv2d_with: padding exceeds the output extent: {s:?}");
     match level.deconv_kernel(simd) {
         DeconvKernel::ScalarScatter => deconv_scatter(input, weight, bias, s),
         DeconvKernel::ScalarGather => deconv_gather(input, weight, bias, s, false, false),

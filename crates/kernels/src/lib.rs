@@ -20,11 +20,11 @@
 //!   kernel* specialized to the 5×5 filter, like the paper's
 //!   FPGA-dedicated kernels.
 //!
-//! Six kernel types exist, matching Table 6: convolution, deconvolution,
-//! pooling, un-pooling, leaky-ReLU, batch normalization. Every kernel has
-//! an instrumented twin that counts global loads / stores / flops; the
-//! analytic count formulas in [`count`] are validated against those
-//! instrumented kernels in the tests.
+//! The ladder covers the two kernels Table 7 optimizes: convolution and
+//! deconvolution. Table 6's op counts for all six kernel types are the
+//! analytic formulas in [`count`], validated against an instrumented loop
+//! in its tests. The whole network runs on the ladder through
+//! `cc19_ddnet`'s `Ddnet::enhance_timed`, which times each kernel class.
 //!
 //! ## The SIMD twin ladder
 //!
@@ -39,15 +39,12 @@
 
 pub mod conv;
 pub mod count;
-pub mod ddnet_exec;
 pub mod deconv;
 #[cfg(target_arch = "x86_64")]
 mod microkernel;
-pub mod others;
 pub mod simd;
 
 pub use count::{KernelCounts, OpCounts};
-pub use ddnet_exec::{run_ddnet_inference, DdnetShape, KernelTimes};
 
 /// The paper's cumulative optimization stages (Table 7 columns).
 ///

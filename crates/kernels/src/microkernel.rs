@@ -23,12 +23,16 @@
 //!   row of broadcast weights stays register-resident.
 //!
 //! Safety: every `unsafe` block in this file relies on (a) AVX2+FMA
-//! presence, asserted at the two safe entry points before any
-//! `#[target_feature]` call, and (b) the interior-box bounds proven in
-//! `plane_*` before raw-pointer loads. `_mm_prefetch` is a hint and
-//! never faults; speculative next-row/next-block addresses are formed
-//! with `wrapping_add` so no out-of-allocation pointer arithmetic is
-//! performed.
+//! presence, asserted at the two entry points here before any
+//! `#[target_feature]` call; (b) buffer lengths that match the
+//! [`ConvShape`], and a filter that fits the padded input, which only the
+//! callers check — `conv2d_with` / `deconv2d_with` `assert!` them in every
+//! build profile before dispatching here; and (c) the interior box
+//! derived in `plane_*` from that shape, which keeps every raw-pointer
+//! load inside an input of exactly `cin·h·w` elements. `_mm_prefetch` is
+//! a hint and never faults; speculative next-row/next-block addresses are
+//! formed with `wrapping_add` so no out-of-allocation pointer arithmetic
+//! is performed.
 // cc19-lint: allow(unsafe, simd: explicit std::arch AVX2/FMA intrinsics with raw-pointer loads/stores; scalar/SIMD parity is enforced by tests/simd_parity.rs and the forced-scalar tier-1 run)
 #![allow(unsafe_code)]
 
@@ -91,8 +95,9 @@ pub(crate) fn conv2d_avx2(
     // cc19-lint: allow(alloc, "allocating twin: the output buffer is the return value; _into callers reuse theirs")
     let mut out = vec![0.0f32; s.out_len()];
     out.par_chunks_mut(oh * ow).enumerate().for_each(|(co, plane)| {
-        // SAFETY: AVX2+FMA presence asserted above; `conv_plane_avx2`
-        // confines raw loads to the in-bounds interior box.
+        // SAFETY: AVX2+FMA presence asserted above; the buffer lengths
+        // were asserted by `conv2d_with`, and `conv_plane_avx2` confines
+        // raw loads to the interior box those lengths bound.
         unsafe { conv_plane_avx2(input, weight, bias, s, co, plane, mode) }
     });
     out

@@ -7,7 +7,7 @@
 //! ```toml
 //! # comment
 //! [allow.determinism]
-//! "crates/kernels/src/ddnet_exec.rs" = "timing instrumentation only"
+//! "crates/obs/src/clock.rs" = "the one sanctioned wall-clock read"
 //! ```
 //!
 //! A section `[allow.<rule>]` opens the allowlist for one rule; each

@@ -12,10 +12,12 @@
 //! The evaluator's 2D convolutions stay on `conv2d_dispatch` (the backend
 //! its caller picked); its deconvolutions ([`deconv_gather`]) and 3D
 //! convolutions ([`conv3d_taps`]) run the kernel ladder's microkernels.
+//! [`conv2d_ladder`] and [`deconv_gather`] take the ladder stage, so
+//! `cc19_ddnet`'s timed executor can run DDnet at any of them.
 
 use std::rc::Rc;
 
-use cc19_kernels::conv::{conv3d_with, Conv3dShape, ConvShape};
+use cc19_kernels::conv::{conv2d_with, conv3d_with, Conv3dShape, ConvShape};
 use cc19_kernels::deconv::{self, deconv2d_with};
 use cc19_kernels::{simd, OptLevel};
 use cc19_tensor::conv::Conv2dSpec;
@@ -145,7 +147,7 @@ impl Exec for Eval {
     fn deconv(&mut self, layer: &ConvTranspose2d, x: Rc<Tensor>) -> Result<Rc<Tensor>> {
         let w = layer.weight.borrow();
         let b = layer.bias.as_ref().map(|b| b.borrow());
-        Ok(Rc::new(deconv_gather(&x, &w.value, b.as_ref().map(|b| &b.value), layer.spec)?))
+        Ok(Rc::new(deconv_gather(LADDER_LEVEL, &x, &w.value, b.as_ref().map(|b| &b.value), layer.spec)?))
     }
 
     fn conv3d(&mut self, layer: &Conv3d, x: Rc<Tensor>) -> Result<Rc<Tensor>> {
@@ -234,28 +236,51 @@ fn per_sample(x: &Tensor, in_len: usize, dims: &[usize], run_sample: impl Fn(&[f
     Tensor::from_vec(dims, out)
 }
 
-/// Stride-1 transposed convolution of an `(N, Cin, H, W)` batch by a
-/// `(Cin, Cout, K, K)` weight on the kernel ladder's gather microkernel
-/// (§4.2.1's refactored deconvolution), one sample at a time, at the
-/// host's SIMD dispatch. Counted under `tensor_conv_*{op="deconv2d_gather"}`.
-pub fn deconv_gather(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Result<Tensor> {
-    let bad = |m: String| Err(TensorError::Incompatible(format!("deconv2d_gather: {m}")));
+/// Stride-1 2D convolution of an `(N, Cin, H, W)` batch by a square
+/// weight — `(Cin, Cout, K, K)` and transposed when `deconv`, else
+/// `(Cout, Cin, K, K)` — on the kernel ladder's `level` stage, one sample
+/// at a time, at the host's SIMD dispatch. What the kernels cannot run is
+/// an `op` error. Counted under `tensor_conv_*{op}`.
+fn ladder2d(
+    op: &'static str,
+    deconv: bool,
+    level: OptLevel,
+    x: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: Conv2dSpec,
+) -> Result<Tensor> {
+    let bad = |m: String| Err(TensorError::Incompatible(format!("{op}: {m}")));
     let (d, wd) = (x.dims(), weight.dims());
     if d.len() != 4 || wd.len() != 4 || wd[2] != wd[3] || d.contains(&0) {
-        return bad(format!("want (N,Cin,H,W) input and square (Cin,Cout,K,K) weight, got {d:?} and {wd:?}"));
+        return bad(format!("want (N,Cin,H,W) input and square 4D weight, got {d:?} and {wd:?}"));
     }
-    let (n, cin, h, w, cout, k) = (d[0], d[1], d[2], d[3], wd[1], wd[2]);
-    if cin != wd[0] || spec.stride != 1 || 2 * spec.padding >= h.min(w) + k {
-        return bad(format!("input {d:?}, weight {wd:?}, {spec:?} is not a stride-1 deconvolution"));
+    let (cin, cout) = if deconv { (wd[0], wd[1]) } else { (wd[1], wd[0]) };
+    let (k, pad, extent) = (wd[2], spec.padding, d[2].min(d[3]));
+    let fits = if deconv { 2 * pad < extent + k } else { k <= extent + 2 * pad };
+    if d[1] != cin || spec.stride != 1 || !fits {
+        return bad(format!("input {d:?}, weight {wd:?}, {spec:?} is not a stride-1 convolution the ladder runs"));
     }
+    let s = ConvShape { cin, cout, h: d[2], w: d[3], k, pad };
     let mut zeros = Vec::new();
-    let bias = bias_or_zeros("deconv2d_gather", bias, cout, &mut zeros)?;
-    let s = ConvShape { cin, cout, h, w, k, pad: spec.padding };
-    let _obs = obs::conv_call("deconv2d_gather", "fwd", 2 * obs::macs(&[n, cin, h, w, cout, k, k]));
-    let level = simd::active();
-    per_sample(x, cin * h * w, &[n, cout, deconv::out_h(s), deconv::out_w(s)], |sample| {
-        deconv2d_with(LADDER_LEVEL, level, sample, weight.data(), bias, s)
-    })
+    let bias = bias_or_zeros(op, bias, cout, &mut zeros)?;
+    let (oh, ow) = if deconv { (deconv::out_h(s), deconv::out_w(s)) } else { (s.out_h(), s.out_w()) };
+    // every tap meets every input pixel when transposed, every output pixel when not
+    let grid = if deconv { s.h * s.w } else { oh * ow };
+    let _obs = obs::conv_call(op, "fwd", 2 * obs::macs(&[d[0], cin, cout, k, k, grid]));
+    let (kernel, dispatch) = (if deconv { deconv2d_with } else { conv2d_with }, simd::active());
+    per_sample(x, s.in_len(), &[d[0], cout, oh, ow], |sample| kernel(level, dispatch, sample, weight.data(), bias, s))
+}
+
+/// [`ladder2d`]'s convolution, counted under `op="conv2d_ladder"`.
+pub fn conv2d_ladder(level: OptLevel, x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Result<Tensor> {
+    ladder2d("conv2d_ladder", false, level, x, weight, bias, spec)
+}
+
+/// [`ladder2d`]'s transposed convolution — from +REF on §4.2.1's gather
+/// deconvolution — counted under `op="deconv2d_gather"`.
+pub fn deconv_gather(level: OptLevel, x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Result<Tensor> {
+    ladder2d("deconv2d_gather", true, level, x, weight, bias, spec)
 }
 
 /// 3D convolution of an `(N, Cin, D, H, W)` batch by a cubic
@@ -300,10 +325,10 @@ mod tests {
             let b = rng.uniform_tensor([4], -0.2, 0.2);
             let spec = Conv2dSpec { stride: 1, padding: pad };
             let want = conv_transpose2d_dispatch(ConvBackend::Direct, &x, &w, Some(&b), spec).unwrap();
-            let got = deconv_gather(&x, &w, Some(&b), spec).unwrap();
+            let got = deconv_gather(LADDER_LEVEL, &x, &w, Some(&b), spec).unwrap();
             assert_eq!(got.dims(), want.dims());
             assert!(got.all_close(&want, 1e-5), "n={n} k={k}: {}", got.max_abs_diff(&want).unwrap());
-            let unbiased = deconv_gather(&x, &w, None, spec).unwrap();
+            let unbiased = deconv_gather(LADDER_LEVEL, &x, &w, None, spec).unwrap();
             let want = conv_transpose2d_dispatch(ConvBackend::Direct, &x, &w, None, spec).unwrap();
             assert!(unbiased.all_close(&want, 1e-5));
         }
@@ -314,11 +339,17 @@ mod tests {
         let x = Tensor::zeros([1, 2, 8, 8]);
         let w = Tensor::zeros([2, 3, 3, 3]);
         let strided = Conv2dSpec { stride: 2, padding: 1 };
-        assert!(deconv_gather(&x, &w, None, strided).is_err());
+        assert!(deconv_gather(LADDER_LEVEL, &x, &w, None, strided).is_err());
         let wrong_cin = Tensor::zeros([4, 3, 3, 3]);
-        assert!(deconv_gather(&x, &wrong_cin, None, Conv2dSpec::default()).is_err());
-        assert!(deconv_gather(&x, &w, Some(&Tensor::zeros([2])), Conv2dSpec::default()).is_err());
-        assert!(deconv_gather(&Tensor::zeros([2, 8, 8]), &w, None, Conv2dSpec::default()).is_err());
+        assert!(deconv_gather(LADDER_LEVEL, &x, &wrong_cin, None, Conv2dSpec::default()).is_err());
+        assert!(deconv_gather(LADDER_LEVEL, &x, &w, Some(&Tensor::zeros([2])), Conv2dSpec::default()).is_err());
+        assert!(deconv_gather(LADDER_LEVEL, &Tensor::zeros([2, 8, 8]), &w, None, Conv2dSpec::default()).is_err());
+        // the convolution twin: (Cout, Cin, K, K) weight, filter within the padded input
+        let conv = |w: &Tensor, spec| conv2d_ladder(LADDER_LEVEL, &x, w, None, spec);
+        assert!(conv(&Tensor::zeros([3, 2, 3, 3]), Conv2dSpec { stride: 1, padding: 1 }).is_ok());
+        assert!(conv(&Tensor::zeros([3, 2, 3, 3]), strided).is_err());
+        assert!(conv(&w, Conv2dSpec::default()).is_err(), "(Cin, Cout) weight order");
+        assert!(conv(&Tensor::zeros([3, 2, 9, 9]), Conv2dSpec::default()).is_err(), "filter past the input");
     }
 
     #[test]

@@ -172,32 +172,12 @@ pub struct Graph {
     requires: Vec<bool>,
     /// (var id, param) pairs: where to deliver gradients after backward.
     params: Vec<(usize, ParamRef)>,
-    /// Convolution backend used by conv2d / conv_transpose2d nodes
-    /// (forward *and* their backward closures). Defaults to
-    /// [`ConvBackend::Auto`]; overridable per graph or globally via the
-    /// `CC19_CONV_BACKEND` env var.
-    conv_backend: ConvBackend,
 }
 
 impl Graph {
     /// Fresh empty tape.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Fresh tape with an explicit convolution backend.
-    pub fn with_conv_backend(backend: ConvBackend) -> Self {
-        Graph { conv_backend: backend, ..Self::default() }
-    }
-
-    /// Change the convolution backend for ops recorded after this call.
-    pub fn set_conv_backend(&mut self, backend: ConvBackend) {
-        self.conv_backend = backend;
-    }
-
-    /// The convolution backend new conv nodes will use.
-    pub fn conv_backend(&self) -> ConvBackend {
-        self.conv_backend
     }
 
     /// Number of nodes recorded so far.
@@ -464,10 +444,10 @@ impl Graph {
 
     // ----- convolutions ----------------------------------------------------
 
-    /// 2D convolution (see [`cc19_tensor::conv::conv2d`]), dispatched
-    /// through the graph's [`ConvBackend`].
+    /// 2D convolution (see [`cc19_tensor::conv::conv2d`]), forward and
+    /// backward dispatched per shape by [`ConvBackend::Auto`].
     pub fn conv2d(&mut self, x: Var, w: Var, b: Option<Var>, spec: Conv2dSpec) -> Result<Var> {
-        let backend = self.conv_backend;
+        let backend = ConvBackend::Auto;
         let out = conv2d_dispatch(
             backend,
             &self.values[x.0],
@@ -490,10 +470,10 @@ impl Graph {
         })))
     }
 
-    /// 2D transposed convolution ("deconvolution"), dispatched through
-    /// the graph's [`ConvBackend`].
+    /// 2D transposed convolution ("deconvolution"), forward and backward
+    /// dispatched per shape by [`ConvBackend::Auto`].
     pub fn conv_transpose2d(&mut self, x: Var, w: Var, b: Option<Var>, spec: Conv2dSpec) -> Result<Var> {
-        let backend = self.conv_backend;
+        let backend = ConvBackend::Auto;
         let out = conv_transpose2d_dispatch(
             backend,
             &self.values[x.0],

@@ -8,10 +8,6 @@
 //! are enough output positions to fill macro-tiles. [`ConvBackend::Auto`]
 //! encodes that crossover as a cheap per-shape heuristic; `Direct` and
 //! `Gemm` force a side (for benchmarking and for pinning behavior).
-//!
-//! The environment variable `CC19_CONV_BACKEND` (`auto` / `direct` /
-//! `gemm`) overrides whatever the caller selected — it is read at
-//! dispatch time so a training run can be flipped without recompiling.
 
 use crate::conv::{
     conv2d, conv2d_backward, conv_transpose2d, conv_transpose2d_backward, Conv2dSpec,
@@ -47,28 +43,6 @@ const GEMM_MIN_REDUCTION: usize = 32;
 const GEMM_MIN_POSITIONS: usize = 64;
 
 impl ConvBackend {
-    /// Parse a backend name (`auto` / `direct` / `gemm`, case-insensitive).
-    pub fn parse(s: &str) -> Option<ConvBackend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(ConvBackend::Auto),
-            "direct" => Some(ConvBackend::Direct),
-            "gemm" => Some(ConvBackend::Gemm),
-            _ => None,
-        }
-    }
-
-    /// Backend forced via the `CC19_CONV_BACKEND` environment variable,
-    /// if set to a recognized value.
-    pub fn from_env() -> Option<ConvBackend> {
-        std::env::var("CC19_CONV_BACKEND").ok().and_then(|v| ConvBackend::parse(&v))
-    }
-
-    /// The backend that will actually run: the env override if present,
-    /// otherwise `self`.
-    pub fn effective(self) -> ConvBackend {
-        ConvBackend::from_env().unwrap_or(self)
-    }
-
     /// The `Auto` heuristic: GEMM when the per-output reduction
     /// (`c_reduce = C*K*K`) is deep enough *and* there are enough output
     /// positions to fill GEMM macro-tiles.
@@ -76,10 +50,10 @@ impl ConvBackend {
         c_reduce >= GEMM_MIN_REDUCTION && out_positions >= GEMM_MIN_POSITIONS
     }
 
-    /// Resolve `Auto` for a conv2d shape (after applying the env
-    /// override); returns `Direct` or `Gemm`, never `Auto`.
+    /// Resolve `Auto` for a conv2d shape; returns `Direct` or `Gemm`,
+    /// never `Auto`.
     pub fn resolve_conv2d(self, input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> ConvBackend {
-        match self.effective() {
+        match self {
             ConvBackend::Auto => {
                 let (d, wd) = (input.dims(), weight.dims());
                 if d.len() != 4 || wd.len() != 4 {
@@ -102,7 +76,7 @@ impl ConvBackend {
     /// `(Cin, Cout, K, K)`; the GEMM's reduction depth going backward is
     /// `Cout*K*K` and its row count is the *input* grid `N*H*W`).
     pub fn resolve_conv_transpose2d(self, input: &Tensor, weight: &Tensor) -> ConvBackend {
-        match self.effective() {
+        match self {
             ConvBackend::Auto => {
                 let (d, wd) = (input.dims(), weight.dims());
                 if d.len() != 4 || wd.len() != 4 {
@@ -180,14 +154,6 @@ pub fn conv_transpose2d_backward_dispatch(
 mod tests {
     use super::*;
     use crate::rng::Xorshift;
-
-    #[test]
-    fn parse_names() {
-        assert_eq!(ConvBackend::parse("auto"), Some(ConvBackend::Auto));
-        assert_eq!(ConvBackend::parse(" DIRECT "), Some(ConvBackend::Direct));
-        assert_eq!(ConvBackend::parse("Gemm"), Some(ConvBackend::Gemm));
-        assert_eq!(ConvBackend::parse("opencl"), None);
-    }
 
     #[test]
     fn auto_resolves_by_shape() {

@@ -1,15 +1,16 @@
 //! Platform survey: where can you deploy DDnet inference, and what does
-//! it cost? Combines a *measured* run of the hand kernels on this host
-//! with the roofline predictions for the paper's six platforms
-//! (Tables 4/5/7 in miniature).
+//! it cost? Combines a *measured* run of the paper network on the kernel
+//! ladder (`Ddnet::enhance_timed`) on the local host with the roofline
+//! predictions for the paper's six platforms (Tables 4/5/7 in miniature).
 //!
 //! ```text
 //! cargo run --release -p computecovid19 --example platform_survey
 //! ```
 
-use cc19_hetero::{ddnet_class_counts, predict_kernel_times, DEVICES};
-use cc19_kernels::ddnet_exec::{run_ddnet_inference, DdnetShape};
+use cc19_ddnet::{Ddnet, DdnetConfig};
+use cc19_hetero::{ddnet_class_counts, predict_kernel_times, DdnetShape, DEVICES};
 use cc19_kernels::OptLevel;
+use cc19_tensor::rng::Xorshift;
 
 fn main() {
     println!("DDnet inference cost survey (512x512 slice)\n");
@@ -32,9 +33,11 @@ fn main() {
         println!("{:<32} {:>10.3} {:>12} {:>14.0}", dev.name, total, bound, 60.0 / total);
     }
 
-    println!("\nmeasured on this host (real kernels, 128x128 for speed):");
+    println!("\nmeasured on this host (the paper network on the kernel ladder, 128x128 for speed):");
+    let net = Ddnet::new(DdnetConfig::paper(), 1);
+    let img = Xorshift::new(1).uniform_tensor([128, 128], 0.0, 1.0);
     for level in [OptLevel::Baseline, OptLevel::RefactoredPrefetchUnrolled] {
-        let t = run_ddnet_inference(DdnetShape::reduced(128), level, 1);
+        let (_, t) = net.enhance_timed(&img, level).expect("128 is divisible by 16");
         println!(
             "  {:<26} conv {:>7.3}s  deconv {:>7.3}s  other {:>7.3}s  total {:>7.3}s",
             level.label(),

@@ -70,6 +70,19 @@ if [ "$status" -eq 0 ]; then
 fi
 
 echo
+echo "=== tier-1: kernel suite in a release build (entry guards) ==="
+# conv2d_with / deconv2d_with / conv3d_with assert their buffer lengths
+# before the AVX2 microkernel's unchecked loads (DESIGN.md §13). The
+# plain `cargo test` above is a debug build; this stage runs the
+# cc19-kernels suite, entry_guards.rs included, with release codegen.
+if [ "$status" -eq 0 ]; then
+    if ! cargo test --release -q -p cc19-kernels; then
+        echo "tier-1: KERNEL SUITE FAILED (--release)"
+        status=1
+    fi
+fi
+
+echo
 echo "=== tier-1: distributed chaos suite (CC19_FAULT_SEED pinned) ==="
 # Pin the fault-injection seed so a chaos failure reproduces exactly
 # (DESIGN.md §9); the suite re-runs under faults the same ring/trainer
