@@ -418,7 +418,7 @@ impl Ddnet {
     }
 
     /// Enhance a `(B, H, W)` stack of slices in **one** batched forward
-    /// pass — the GEMM-friendly path the serving batcher feeds: the conv
+    /// pass — the GEMM-friendly path for many slices at once: the conv
     /// lowerings see `B×OH×OW` output rows instead of `OH×OW`, so packing
     /// and tiling amortize across slices.
     ///

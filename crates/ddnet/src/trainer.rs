@@ -9,7 +9,6 @@ use cc19_data::dataset::batch_pairs;
 use cc19_data::lowdose_pairs::EnhancementPair;
 use cc19_nn::graph::Graph;
 use cc19_nn::losses::enhancement_loss;
-use cc19_nn::ConvBackend;
 use cc19_nn::optim::Adam;
 use cc19_nn::ssim;
 use cc19_tensor::Tensor;
@@ -247,35 +246,6 @@ pub fn enhance_volume_into(net: &Ddnet, volume: &Tensor, out: &mut Tensor) -> Re
     Ok(())
 }
 
-/// [`enhance_volume`] with all `D` slices coalesced into **one** batched
-/// forward under a pinned conv backend — the GEMM-friendly serving path
-/// (see [`Ddnet::enhance_stack`] for the bit-identity caveat that makes
-/// the backend pin mandatory).
-pub fn enhance_volume_stacked(
-    net: &Ddnet,
-    volume: &Tensor,
-    backend: ConvBackend,
-) -> Result<Tensor> {
-    let mut out = Tensor::zeros(volume.shape().clone());
-    enhance_volume_stacked_into(net, volume, backend, &mut out)?;
-    Ok(out)
-}
-
-/// [`enhance_volume_stacked`] into an existing same-shape tensor — the
-/// buffer-reuse form threaded through serving `Scratch` pools.
-pub fn enhance_volume_stacked_into(
-    net: &Ddnet,
-    volume: &Tensor,
-    backend: ConvBackend,
-    out: &mut Tensor,
-) -> Result<()> {
-    volume.shape().expect_rank(3)?;
-    volume.shape().expect_same(out.shape())?;
-    let enh = net.enhance_stack(volume, backend)?;
-    out.data_mut().copy_from_slice(enh.data());
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,19 +339,6 @@ mod tests {
         // A dirty reused buffer must be fully overwritten.
         let mut reused = Tensor::full([4, 16, 16], f32::NAN);
         enhance_volume_into(&net, &vol, &mut reused).unwrap();
-        assert_eq!(fresh.data(), reused.data());
-    }
-
-    #[test]
-    fn enhance_volume_stacked_into_matches_allocating_form() {
-        use cc19_tensor::conv_backend::ConvBackend;
-        let net = Ddnet::new(DdnetConfig::tiny(), 8);
-        let mut rng = cc19_tensor::rng::Xorshift::new(9);
-        let vol = rng.uniform_tensor([3, 16, 16], 0.0, 1.0);
-        let fresh = enhance_volume_stacked(&net, &vol, ConvBackend::Direct).unwrap();
-        // A dirty reused buffer must be fully overwritten.
-        let mut reused = Tensor::full([3, 16, 16], f32::NAN);
-        enhance_volume_stacked_into(&net, &vol, ConvBackend::Direct, &mut reused).unwrap();
         assert_eq!(fresh.data(), reused.data());
     }
 

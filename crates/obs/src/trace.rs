@@ -3,7 +3,7 @@
 //! Unlike the thread-local [`crate::span`] aggregates — which die at
 //! every thread hop — a trace is request-scoped: a [`TraceCtx`] is
 //! minted once at admission and carried *explicitly* through queue
-//! entries, batch entries, stage handoffs, and cluster wire frames, so
+//! entries, batch entries, serve stages, and cluster wire frames, so
 //! one request yields one stitched span tree no matter how many
 //! threads or processes touched it.
 //!

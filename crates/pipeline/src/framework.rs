@@ -1,17 +1,17 @@
 //! The end-to-end framework object.
 //!
-//! Since PR 3 the pipeline is decomposed into three explicit stages —
+//! The pipeline is decomposed into three explicit stages —
 //! [`Framework::run_enhance`] → [`Framework::run_segment`] →
-//! [`Framework::run_classify`] — so the serving layer (`cc19-serve`) can
-//! pipeline them across worker threads (stage N of study A overlapping
-//! stage N−1 of study B). [`Framework::diagnose`] chains the three
-//! stages in place and is a thin wrapper over
-//! [`Framework::diagnose_batch`]; the batch form threads a [`Scratch`]
-//! buffer pool through the stages so intermediate volume-sized tensors
-//! are reused across studies instead of reallocated per call (all the
-//! `_into` kernels it relies on are bit-identical to their allocating
-//! forms, so a batch of one equals a single call bit for bit — tested
-//! below).
+//! [`Framework::run_classify`] — so a caller can time each one and keep
+//! its intermediate artefacts: the serving layer (`cc19-serve`) records
+//! a trace span per stage, and the monitoring layer captures the lung
+//! mask. [`Framework::diagnose`] chains the three stages in place and
+//! is a thin wrapper over [`Framework::diagnose_batch`]; the batch form
+//! threads a [`Scratch`] buffer pool through the stages so intermediate
+//! volume-sized tensors are reused across studies instead of
+//! reallocated per call (all the `_into` kernels it relies on are
+//! bit-identical to their allocating forms, so a batch of one equals a
+//! single call bit for bit — tested below).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,9 +22,8 @@ use cc19_analysis::segmentation::{apply_mask_into, LungSegmenter};
 use cc19_data::prep::{
     denormalize_from_enhancement_into, normalize_for_enhancement_into, PrepConfig,
 };
-use cc19_ddnet::trainer::{enhance_volume_into, enhance_volume_stacked_into};
+use cc19_ddnet::trainer::enhance_volume_into;
 use cc19_ddnet::{Ddnet, DdnetConfig};
-use cc19_tensor::conv_backend::ConvBackend;
 use cc19_tensor::Tensor;
 
 use crate::Result;
@@ -48,9 +47,8 @@ pub struct Diagnosis {
     /// Time spent in Classification AI.
     pub t_classify: Duration,
     /// Wall-clock from the start of preprocessing to the end of
-    /// classification — includes normalization, segmentation-mask
-    /// application, and (in the pipelined serving path) inter-stage
-    /// hand-off, none of which the three stage timers cover.
+    /// classification — includes normalization and segmentation-mask
+    /// application, neither of which the three stage timers cover.
     pub t_total: Duration,
 }
 
@@ -118,21 +116,6 @@ impl Scratch {
             self.pool.push(t.into_vec());
         }
     }
-}
-
-/// How the enhancement stage batches slices (see [`Ddnet::enhance_stack`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EnhanceMode {
-    /// One forward pass per slice — the reference path; bit-identical
-    /// across batch compositions and the default everywhere.
-    #[default]
-    PerSlice,
-    /// All `D` slices of a study in one batched forward under a pinned
-    /// conv backend. GEMM-friendly (the conv lowering sees `D×OH×OW`
-    /// output rows), but only bit-identical to `PerSlice` when direct
-    /// calls pin the same backend — under `Auto` the dispatch may
-    /// resolve differently for the batched shape.
-    Stacked(ConvBackend),
 }
 
 /// Output of the enhancement stage (input to segmentation).
@@ -204,8 +187,8 @@ pub struct Framework {
     pub prep: PrepConfig,
     /// The clock stage timings read. Defaults to the process-wide
     /// [`cc19_obs::global_clock`] so timestamps taken by one replica
-    /// (the serving layer pipelines stages across threads, each with its
-    /// own replica) are comparable on every other; tests inject a
+    /// (the serving layer runs one replica per worker thread) are
+    /// comparable on every other; tests inject a
     /// [`cc19_obs::ManualClock`] via [`Framework::with_clock`] for exact
     /// latency assertions.
     pub clock: Arc<dyn Clock>,
@@ -230,21 +213,12 @@ impl Framework {
         self
     }
 
-    // -- stage methods (the serving layer pipelines these across threads) --
+    // -- stage methods (the serving layer runs them in turn, one span each) --
 
-    /// Stage 1: normalize a `(D, H, W)` HU volume and run Enhancement AI.
-    pub fn run_enhance(&self, vol_hu: &Tensor, scratch: &mut Scratch) -> Result<Enhanced> {
-        self.run_enhance_with(vol_hu, scratch, EnhanceMode::PerSlice)
-    }
-
-    /// [`Framework::run_enhance`] with an explicit slice-batching mode.
+    /// Stage 1: normalize a `(D, H, W)` HU volume and run Enhancement AI,
+    /// one slice at a time.
     // cc19-hot
-    pub fn run_enhance_with(
-        &self,
-        vol_hu: &Tensor,
-        scratch: &mut Scratch,
-        mode: EnhanceMode,
-    ) -> Result<Enhanced> {
+    pub fn run_enhance(&self, vol_hu: &Tensor, scratch: &mut Scratch) -> Result<Enhanced> {
         vol_hu.shape().expect_rank(3)?;
         let started = self.clock.now_ns();
         let dims = vol_hu.dims().to_vec();
@@ -257,12 +231,7 @@ impl Framework {
             Some(net) => {
                 let t0 = self.clock.now_ns();
                 let mut enhanced = scratch.take(&dims);
-                match mode {
-                    EnhanceMode::PerSlice => enhance_volume_into(net, &unit, &mut enhanced)?,
-                    EnhanceMode::Stacked(backend) => {
-                        enhance_volume_stacked_into(net, &unit, backend, &mut enhanced)?
-                    }
-                }
+                enhance_volume_into(net, &unit, &mut enhanced)?;
                 let mut hu_for_seg = scratch.take(&dims);
                 denormalize_from_enhancement_into(&enhanced, self.prep, &mut hu_for_seg)?;
                 let t_enhance = Duration::from_nanos(self.clock.now_ns().saturating_sub(t0));

@@ -1,10 +1,10 @@
 //! Batching policy and the worker start gate.
 //!
 //! A dispatch takes what is queued, up to `max_batch`, the moment a
-//! pipeline is free; nothing is held back to let a batch fill. Batches
-//! grow by themselves when arrivals outpace a pipeline and are batches
+//! worker is free; nothing is held back to let a batch fill. Batches
+//! grow by themselves when arrivals outpace the workers and are batches
 //! of one on an idle server. A coalescing window would only pay once a
-//! batch runs as one N>1 forward pass; today a pipeline enhances a
+//! batch runs as one N>1 forward pass; today a worker diagnoses a
 //! batch's studies one after another (DESIGN.md §10).
 
 use std::sync::{Condvar, Mutex};
@@ -24,7 +24,7 @@ impl Default for BatchPolicy {
     }
 }
 
-/// A start gate for worker pipelines: a paused server queues admissions
+/// A start gate for the workers: a paused server queues admissions
 /// but dispatches nothing until resumed. This makes batching
 /// deterministic in tests (queue 64 requests, open the gate, observe
 /// full batches) and mirrors a warm-standby deployment.

@@ -40,7 +40,7 @@ impl Default for BrokerCfg {
 }
 
 /// One admitted, not-yet-dispatched study — the unit the dispatcher
-/// hands to a worker pipeline. Public so harnesses (the broker property
+/// hands to a worker. Public so harnesses (the broker property
 /// tests, custom worker loops) can drive the broker directly.
 ///
 /// Timestamps are nanoseconds on the metrics registry's injectable
@@ -77,8 +77,7 @@ struct Inner {
     next_id: u64,
 }
 
-/// The admission queue + dispatcher shared by clients and worker
-/// pipelines.
+/// The admission queue + dispatcher shared by clients and workers.
 pub struct Broker {
     cfg: BrokerCfg,
     inner: Mutex<Inner>,
@@ -204,7 +203,7 @@ impl Broker {
         }
         inner.depth -= batch.len();
         if inner.depth > 0 {
-            // Leftover work: wake another pipeline immediately.
+            // Leftover work: wake another worker immediately.
             self.arrived.notify_one();
         }
         drop(inner);

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Each worker node is a full single-node [`crate::Server`] (broker +
-//! batcher + stage pipelines) behind a pair of reliable byte links —
+//! batcher + one-thread workers) behind a pair of reliable byte links —
 //! seq-numbered, CRC-checked frames with retransmit recovery and
 //! deterministic fault injection ([`cc19_dist::link`]). The router:
 //!
@@ -297,7 +297,7 @@ impl ServeCluster {
             return Err(invalid("max_attempts must be at least 1"));
         }
         if cfg.worker.pipelines < 1 || cfg.worker.batch.max_batch < 1 {
-            return Err(invalid("worker config needs at least one pipeline and max_batch >= 1"));
+            return Err(invalid("worker config needs at least one worker and max_batch >= 1"));
         }
         let hard_cap = cfg.timeouts.hard_cap;
         let (tx, cmd_rx) = unbounded();

@@ -129,11 +129,11 @@ fn node_loop(node: Node, cfg: ServerCfg, factory: FrameworkFactory) {
                     pendings.pop_front();
                 }
                 Err(RecvTimeoutError::Timeout) => break,
-                // A pipeline that died without answering rings nothing;
+                // A worker thread that died without answering rings nothing;
                 // this is seen on the next wake-up.
                 Err(RecvTimeoutError::Disconnected) => {
                     let spans = reg.trace_take(trace_id);
-                    reply_tx.send(proto::encode_reply_fail(req_id, "worker pipeline lost", &spans));
+                    reply_tx.send(proto::encode_reply_fail(req_id, "worker thread lost", &spans));
                     pendings.pop_front();
                 }
             }
@@ -149,7 +149,7 @@ fn node_loop(node: Node, cfg: ServerCfg, factory: FrameworkFactory) {
     // sees it; for a graceful exit everything owed has been forwarded.
     drop(reply_tx);
     drop(dispatch_rx);
-    // Reap the local pipeline threads. A killed node's queued work may
+    // Reap the local worker threads. A killed node's queued work may
     // still compute here, but its replies go to dropped receivers and
     // never reach the wire — matching a crashed process's externally
     // observable behavior while keeping the test process leak-free.

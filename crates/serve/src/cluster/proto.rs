@@ -25,13 +25,13 @@
 
 use std::io;
 
-use cc19_dist::framing::{put_section, take_section};
+use cc19_dist::framing::put_section;
 use cc19_obs::{SpanRecord, SpanStatus, TraceCtx};
 
 use computecovid19::Diagnosis;
 
 use crate::request::{Rejected, ServeRequest};
-use crate::wire;
+use crate::wire::{self, Cursor};
 
 const KIND_DISPATCH: u8 = 1;
 const KIND_SHUTDOWN: u8 = 2;
@@ -42,16 +42,6 @@ const REPLY_REJECT: u8 = 3;
 
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn split_u64(payload: &[u8]) -> io::Result<(u64, &[u8])> {
-    if payload.len() < 8 {
-        return Err(invalid("truncated cluster frame"));
-    }
-    let (head, rest) = payload.split_at(8);
-    let mut b = [0u8; 8];
-    b.copy_from_slice(head);
-    Ok((u64::from_le_bytes(b), rest))
 }
 
 /// Router → worker message.
@@ -93,16 +83,6 @@ impl Reply {
     }
 }
 
-fn split_u32(payload: &[u8]) -> io::Result<(u32, &[u8])> {
-    if payload.len() < 4 {
-        return Err(invalid("truncated cluster frame"));
-    }
-    let (head, rest) = payload.split_at(4);
-    let mut b = [0u8; 4];
-    b.copy_from_slice(head);
-    Ok((u32::from_le_bytes(b), rest))
-}
-
 /// Serialize a span subtree: `[count u32]` then, per record, five `u64`
 /// fields, a status code byte, and a length-prefixed UTF-8 path.
 fn encode_spans(spans: &[SpanRecord]) -> Vec<u8> {
@@ -122,28 +102,21 @@ fn encode_spans(spans: &[SpanRecord]) -> Vec<u8> {
 }
 
 fn decode_spans(block: &[u8]) -> io::Result<Vec<SpanRecord>> {
-    let (count, mut rest) = split_u32(block)?;
+    let mut c = Cursor(block);
+    let count = c.u32()?;
     let mut out = Vec::with_capacity((count as usize).min(1024));
     for _ in 0..count {
-        let (trace_id, r) = split_u64(rest)?;
-        let (span_id, r) = split_u64(r)?;
-        let (parent_id, r) = split_u64(r)?;
-        let (start_ns, r) = split_u64(r)?;
-        let (end_ns, r) = split_u64(r)?;
-        let (&code, r) = r.split_first().ok_or_else(|| invalid("truncated span record"))?;
+        let (trace_id, span_id, parent_id) = (c.u64()?, c.u64()?, c.u64()?);
+        let (start_ns, end_ns) = (c.u64()?, c.u64()?);
         let status =
-            SpanStatus::from_code(code).ok_or_else(|| invalid("unknown span status code"))?;
-        let (path_len, r) = split_u32(r)?;
-        if (path_len as usize) > r.len() {
-            return Err(invalid("span path overruns frame"));
-        }
-        let (path, r) = r.split_at(path_len as usize);
-        let path = std::str::from_utf8(path)
+            SpanStatus::from_code(c.u8()?).ok_or_else(|| invalid("unknown span status code"))?;
+        let len = c.u32()? as usize;
+        let path = std::str::from_utf8(c.take(len)?)
             .map_err(|_| invalid("non-UTF-8 span path"))?
             .to_owned();
         out.push(SpanRecord { trace_id, span_id, parent_id, path, start_ns, end_ns, status });
-        rest = r;
     }
+    c.finish()?;
     Ok(out)
 }
 
@@ -164,20 +137,17 @@ pub(crate) fn encode_shutdown() -> Vec<u8> {
 }
 
 pub(crate) fn decode_dispatch(payload: &[u8]) -> io::Result<Dispatch> {
-    let (&kind, rest) = payload.split_first().ok_or_else(|| invalid("empty cluster frame"))?;
-    match kind {
+    let mut c = Cursor(payload);
+    match c.u8()? {
         KIND_DISPATCH => {
-            let (req_id, rest) = split_u64(rest)?;
-            let (trace_id, rest) = split_u64(rest)?;
-            let (span_id, rest) = split_u64(rest)?;
-            let (parent_id, body) = split_u64(rest)?;
-            Ok(Dispatch::Request {
-                req_id,
-                ctx: TraceCtx { trace_id, span_id, parent_id },
-                req: wire::decode_request(body)?,
-            })
+            let req_id = c.u64()?;
+            let ctx = TraceCtx { trace_id: c.u64()?, span_id: c.u64()?, parent_id: c.u64()? };
+            Ok(Dispatch::Request { req_id, ctx, req: wire::decode_request(c.rest())? })
         }
-        KIND_SHUTDOWN => Ok(Dispatch::Shutdown),
+        KIND_SHUTDOWN => {
+            c.finish()?;
+            Ok(Dispatch::Shutdown)
+        }
         other => Err(invalid(format!("unknown dispatch kind {other}"))),
     }
 }
@@ -205,26 +175,21 @@ pub(crate) fn encode_reply_rejected(req_id: u64, why: &Rejected) -> Vec<u8> {
 }
 
 pub(crate) fn decode_reply(payload: &[u8]) -> io::Result<Reply> {
-    let (&kind, rest) = payload.split_first().ok_or_else(|| invalid("empty cluster reply"))?;
-    match kind {
+    let mut c = Cursor(payload);
+    match c.u8()? {
         REPLY_OK => {
-            let (block, rest) = take_section(rest)?;
-            let spans = decode_spans(block)?;
-            let (req_id, diagnosis) = wire::decode_ok(rest)?;
+            let spans = decode_spans(c.section()?)?;
+            let (req_id, diagnosis) = wire::decode_ok(c.rest())?;
             Ok(Reply::Ok { req_id, diagnosis, spans })
         }
         REPLY_FAIL => {
-            let (req_id, rest) = split_u64(rest)?;
-            let (block, msg) = take_section(rest)?;
-            let spans = decode_spans(block)?;
-            let message = std::str::from_utf8(msg)
-                .map_err(|_| invalid("non-UTF-8 failure message"))?
-                .to_owned();
-            Ok(Reply::Fail { req_id, message, spans })
+            let req_id = c.u64()?;
+            let spans = decode_spans(c.section()?)?;
+            Ok(Reply::Fail { req_id, message: c.rest_utf8()?, spans })
         }
         REPLY_REJECT => {
-            let (req_id, body) = split_u64(rest)?;
-            Ok(Reply::Rejected { req_id, why: wire::decode_reject(body)? })
+            let req_id = c.u64()?;
+            Ok(Reply::Rejected { req_id, why: wire::decode_reject(c.rest())? })
         }
         other => Err(invalid(format!("unknown reply kind {other}"))),
     }
@@ -326,5 +291,30 @@ mod tests {
         assert!(decode_reply(&[]).is_err());
         assert!(decode_reply(&[REPLY_FAIL, 0, 1]).is_err());
         assert!(decode_reply(&[9]).is_err());
+        // A byte past the layout is an error too.
+        let req = ServeRequest::routine(Tensor::zeros([1, 2, 2]));
+        let d = Diagnosis {
+            probability: 0.5,
+            positive: false,
+            t_queue: Duration::ZERO,
+            t_enhance: Duration::ZERO,
+            t_segment: Duration::ZERO,
+            t_classify: Duration::ZERO,
+            t_total: Duration::ZERO,
+        };
+        let mut long_spans = vec![REPLY_OK];
+        put_section(&mut long_spans, &[encode_spans(&sample_spans()), vec![0]].concat());
+        long_spans.extend_from_slice(&wire::encode_ok(5, &d));
+        for long in [encode_dispatch(1, sample_ctx(), &req), encode_shutdown()] {
+            let long = [long, vec![0]].concat();
+            assert_eq!(decode_dispatch(&long).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
+        for long in [
+            [encode_reply_ok(5, &d, &sample_spans()), vec![0]].concat(),
+            [encode_reply_rejected(7, &Rejected::ShuttingDown), vec![0]].concat(),
+            long_spans,
+        ] {
+            assert_eq!(decode_reply(&long).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
     }
 }

@@ -12,10 +12,9 @@
 //! clients ──▶ broker (bounded admission, stat/urgent/routine classes,
 //!         │           EDF within class, typed backpressure)
 //!         │      │
-//!         │      ▼  dynamic batcher (max-batch / max-delay coalescing)
-//!         │   worker pipelines × P:
-//!         │      enhance thread ─▶ segment thread ─▶ classify thread
-//!         │      (stage N of study A overlaps stage N−1 of study B)
+//!         │      ▼  a free worker takes what is queued, ≤ max_batch
+//!         │   workers × P, each one thread + one Framework replica:
+//!         │      for each study: enhance → segment → classify
 //!         │      ▼
 //!         ◀── replies (exactly once per accepted request) + metrics
 //! ```
@@ -23,12 +22,11 @@
 //! - [`broker`] — bounded admission queue with priority classes and
 //!   deadline-aware scheduling; over-capacity submissions get a typed
 //!   [`Rejected`] instead of unbounded queue growth.
-//! - [`batcher`] — the max-batch / max-delay coalescing policy (the
-//!   Triton-style latency/throughput knob) and the pause gate used for
+//! - [`batcher`] — the `max_batch` policy and the pause gate used for
 //!   deterministic tests.
-//! - [`worker`] — warm pool of `Framework` replicas; each pipeline runs
-//!   the three stages on separate threads connected by channels,
-//!   threading a `Scratch` buffer pool through each stage.
+//! - [`worker`] — warm pool of `Framework` replicas, one per worker
+//!   thread; a worker runs the three stages of each study in turn,
+//!   threading one `Scratch` buffer pool through them.
 //! - [`server`] — ties the pieces together; in-process [`Client`].
 //! - [`wire`] — TCP front end over `std::net::TcpStream`, framed with
 //!   the CRC framing reused from [`cc19_dist::framing`].

@@ -1,4 +1,4 @@
-//! The server: broker + batcher + worker pipelines + metrics, with an
+//! The server: broker + batcher + one-thread workers + metrics, with an
 //! in-process [`Client`] handle.
 
 use std::io;
@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 
-use computecovid19::framework::{EnhanceMode, Framework};
+use computecovid19::framework::Framework;
 
 use crate::batcher::{BatchPolicy, Gate};
 use crate::broker::{Broker, BrokerCfg};
@@ -27,14 +27,12 @@ pub struct ServerCfg {
     pub est_service: Duration,
     /// Batch-forming policy.
     pub batch: BatchPolicy,
-    /// Number of three-stage worker pipelines.
+    /// Number of workers: one thread each, owning one `Framework`
+    /// replica that runs enhance → segment → classify for every study
+    /// it pops.
     pub pipelines: usize,
     /// Positive-decision threshold passed to classification.
     pub threshold: f64,
-    /// Slice-batching mode for the enhancement stage (see
-    /// [`EnhanceMode`]; keep the default for bit-reproducibility with
-    /// direct `diagnose` calls).
-    pub enhance_mode: EnhanceMode,
     /// Start with the dispatch gate closed; admissions queue up until
     /// [`Server::resume`] — deterministic-batching test hook and
     /// warm-standby mode.
@@ -49,7 +47,6 @@ impl Default for ServerCfg {
             batch: BatchPolicy::default(),
             pipelines: 1,
             threshold: 0.5,
-            enhance_mode: EnhanceMode::PerSlice,
             start_paused: false,
         }
     }
@@ -64,12 +61,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Start a server whose worker threads each build a warm
-    /// [`Framework`] replica via `factory`. The factory must be
-    /// deterministic (same replica every call) for the service to be
-    /// bit-reproducible across pipelines.
+    /// Start a server of `cfg.pipelines` workers, each one thread that
+    /// builds its warm [`Framework`] replica via `factory` (called once
+    /// per worker). The factory must be deterministic (same replica
+    /// every call) for the service to be bit-reproducible across
+    /// workers.
     ///
-    /// Errors on an invalid configuration or when a stage thread cannot
+    /// Errors on an invalid configuration or when a worker thread cannot
     /// be spawned (OS resource exhaustion) — both recoverable by the
     /// caller, so neither panics.
     pub fn start<F>(cfg: ServerCfg, factory: F) -> io::Result<Server>
@@ -106,7 +104,7 @@ impl Server {
         if cfg.pipelines < 1 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "need at least one worker pipeline",
+                "need at least one worker",
             ));
         }
         if cfg.batch.max_batch < 1 {
@@ -120,18 +118,19 @@ impl Server {
             metrics.clone(),
         ));
         let gate = Arc::new(Gate::new(!cfg.start_paused));
-        let mut handles = Vec::new();
-        for i in 0..cfg.pipelines {
-            handles.extend(spawn_pipeline(
-                i,
-                Arc::clone(&broker),
-                Arc::clone(&gate),
-                cfg,
-                Arc::clone(&factory),
-                metrics.clone(),
-                done.clone(),
-            )?);
-        }
+        let handles = (0..cfg.pipelines)
+            .map(|i| {
+                spawn_pipeline(
+                    i,
+                    Arc::clone(&broker),
+                    Arc::clone(&gate),
+                    cfg,
+                    Arc::clone(&factory),
+                    metrics.clone(),
+                    done.clone(),
+                )
+            })
+            .collect::<io::Result<_>>()?;
         Ok(Server { broker, gate, metrics, handles })
     }
 
@@ -279,6 +278,21 @@ mod tests {
             assert!(p.wait().unwrap().result.is_ok());
         }
         assert_eq!(metrics.snapshot().completed, 3);
+    }
+
+    #[test]
+    fn each_worker_builds_one_replica() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let built = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&built);
+        let cfg = ServerCfg { pipelines: 2, ..ServerCfg::default() };
+        let server = Server::start(cfg, move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            Framework::untrained_reduced(42)
+        })
+        .expect("server starts");
+        server.shutdown();
+        assert_eq!(built.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use cc19_dist::framing::WireFrame;
+use cc19_dist::framing::{take_section, WireFrame};
 use cc19_tensor::Tensor;
 use computecovid19::Diagnosis;
 
@@ -45,26 +45,30 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-struct Cursor<'a>(&'a [u8]);
+/// Little-endian reader over one serve or cluster payload. Every read
+/// errors with `InvalidData` instead of running past the end, and
+/// [`Cursor::finish`] rejects leftover bytes, so a payload decodes only
+/// if its layout accounts for every byte.
+pub(crate) struct Cursor<'a>(pub(crate) &'a [u8]);
 
 impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> io::Result<u8> {
+    pub(crate) fn u8(&mut self) -> io::Result<u8> {
         let b = *self.0.first().ok_or_else(|| invalid("truncated payload"))?;
         self.0 = &self.0[1..];
         Ok(b)
     }
 
-    fn u32(&mut self) -> io::Result<u32> {
+    pub(crate) fn u32(&mut self) -> io::Result<u32> {
         let b = self.take(4)?.try_into().map_err(|_| invalid("truncated u32"))?;
         Ok(u32::from_le_bytes(b))
     }
 
-    fn u64(&mut self) -> io::Result<u64> {
+    pub(crate) fn u64(&mut self) -> io::Result<u64> {
         let b = self.take(8)?.try_into().map_err(|_| invalid("truncated u64"))?;
         Ok(u64::from_le_bytes(b))
     }
 
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+    pub(crate) fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
         if self.0.len() < n {
             return Err(invalid("truncated payload"));
         }
@@ -73,10 +77,29 @@ impl<'a> Cursor<'a> {
         Ok(head)
     }
 
-    fn rest_utf8(&mut self) -> io::Result<String> {
-        let s = std::str::from_utf8(self.0).map_err(|_| invalid("non-UTF-8 message"))?.to_owned();
-        self.0 = &[];
-        Ok(s)
+    /// A `u32`-length-prefixed section ([`take_section`]).
+    pub(crate) fn section(&mut self) -> io::Result<&'a [u8]> {
+        let (section, rest) = take_section(self.0)?;
+        self.0 = rest;
+        Ok(section)
+    }
+
+    /// Every byte not yet read, for a nested decoder that finishes it.
+    pub(crate) fn rest(self) -> &'a [u8] {
+        self.0
+    }
+
+    /// Every byte not yet read, as a UTF-8 message.
+    pub(crate) fn rest_utf8(self) -> io::Result<String> {
+        Ok(std::str::from_utf8(self.0).map_err(|_| invalid("non-UTF-8 message"))?.to_owned())
+    }
+
+    /// End of the payload: errors if any byte is left unread.
+    pub(crate) fn finish(self) -> io::Result<()> {
+        match self.0.len() {
+            0 => Ok(()),
+            n => Err(invalid(format!("{n} trailing bytes after the payload"))),
+        }
     }
 }
 
@@ -111,6 +134,7 @@ pub fn decode_request(payload: &[u8]) -> io::Result<ServeRequest> {
         .and_then(|v| v.checked_mul(4))
         .ok_or_else(|| invalid("volume extent overflow"))?;
     let raw = c.take(bytes)?;
+    c.finish()?;
     // chunks_exact(4) yields exactly-4-byte slices, so the array indexing
     // cannot go out of bounds.
     let data: Vec<f32> =
@@ -141,6 +165,7 @@ pub fn decode_ok(payload: &[u8]) -> io::Result<(u64, Diagnosis)> {
     for t in &mut times {
         *t = Duration::from_nanos(c.u64()?);
     }
+    c.finish()?;
     Ok((
         id,
         Diagnosis {
@@ -177,16 +202,18 @@ pub fn encode_reject(why: &Rejected) -> Vec<u8> {
 /// Decode a [`Rejected`] payload.
 pub fn decode_reject(payload: &[u8]) -> io::Result<Rejected> {
     let mut c = Cursor(payload);
-    match c.u8()? {
-        0 => Ok(Rejected::QueueFull { depth: c.u64()? as usize, bound: c.u64()? as usize }),
-        1 => Ok(Rejected::DeadlineImpossible {
+    let why = match c.u8()? {
+        0 => Rejected::QueueFull { depth: c.u64()? as usize, bound: c.u64()? as usize },
+        1 => Rejected::DeadlineImpossible {
             deadline: Duration::from_nanos(c.u64()?),
             est_service: Duration::from_nanos(c.u64()?),
-        }),
-        2 => Ok(Rejected::Invalid(c.rest_utf8()?)),
-        3 => Ok(Rejected::ShuttingDown),
-        code => Err(invalid(format!("unknown reject code {code}"))),
-    }
+        },
+        2 => return Ok(Rejected::Invalid(c.rest_utf8()?)),
+        3 => Rejected::ShuttingDown,
+        code => return Err(invalid(format!("unknown reject code {code}"))),
+    };
+    c.finish()?;
+    Ok(why)
 }
 
 fn handle_connection(stream: TcpStream, client: Client) {
@@ -286,8 +313,15 @@ impl TcpServeClient {
 
     /// Submit one study and block for its outcome. `Ok(Err(_))` is a
     /// typed admission rejection; `Err(_)` is a transport or stage
-    /// failure.
+    /// failure. A volume that is not a non-empty `(D, H, W)` is rejected
+    /// here, as in-process submission rejects it: the wire carries
+    /// exactly three dims.
     pub fn diagnose(&mut self, req: &ServeRequest) -> io::Result<WireOutcome> {
+        // Shape only: with a zero service estimate no deadline fails the
+        // screen, which the server applies itself.
+        if let Err(why) = req.screen(Duration::ZERO) {
+            return Ok(Err(why));
+        }
         let seq = self.seq;
         self.seq += 1;
         WireFrame::new(KIND_REQUEST, seq, encode_request(req)).write_to(&mut self.stream)?;
@@ -384,5 +418,24 @@ mod tests {
         assert_eq!(decode_request(&huge).unwrap_err().kind(), io::ErrorKind::InvalidData);
         assert!(decode_ok(&[0u8; 10]).is_err());
         assert!(decode_reject(&[]).is_err());
+        // A byte past the layout is an error too: a rank-4 volume
+        // encodes its first three dims and then every voxel.
+        let d = Diagnosis {
+            probability: 0.5,
+            positive: true,
+            t_queue: Duration::ZERO,
+            t_enhance: Duration::ZERO,
+            t_segment: Duration::ZERO,
+            t_classify: Duration::ZERO,
+            t_total: Duration::ZERO,
+        };
+        let rank4 = ServeRequest::routine(Tensor::zeros([1, 2, 3, 4]));
+        let long_ok = [encode_ok(1, &d), vec![0]].concat();
+        let long_reject = [encode_reject(&Rejected::ShuttingDown), vec![0]].concat();
+        for long in [[full, vec![0]].concat(), encode_request(&rank4)] {
+            assert_eq!(decode_request(&long).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
+        assert_eq!(decode_ok(&long_ok).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(decode_reject(&long_reject).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -209,6 +209,17 @@ fn tcp_front_end_serves_bit_identical_answers() {
         Err(Rejected::Invalid(_)) => {}
         other => panic!("expected Invalid rejection, got {other:?}"),
     }
+    // So is a rank-4 one, as in-process submission rejects it: the wire
+    // carries three dims, so `[4, 32, 32, 1]` would otherwise arrive as
+    // a `[4, 32, 32]` study and `[2, 4, 32, 32]` as a truncated one.
+    for dims in [[4, 32, 32, 1], [2, 4, 32, 32]] {
+        let rank4 = ServeRequest::routine(Tensor::zeros(dims));
+        assert!(matches!(server.client().submit(rank4.clone()), Err(Rejected::Invalid(_))));
+        match remote.diagnose(&rank4).expect("transport") {
+            Err(Rejected::Invalid(_)) => {}
+            other => panic!("{dims:?}: expected Invalid rejection, got {other:?}"),
+        }
+    }
 
     let metrics = server.shutdown();
     assert_eq!(metrics.snapshot().completed, 9);

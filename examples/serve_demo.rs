@@ -16,9 +16,9 @@ use cc19_tensor::rng::Xorshift;
 use computecovid19::framework::Framework;
 
 fn main() {
-    // 1. Start the service: two warm three-stage pipelines, batches of
-    //    up to 4 studies coalesced over a 2 ms window, a 32-deep
-    //    admission queue.
+    // 1. Start the service: two workers, each one thread with one warm
+    //    replica running enhance → segment → classify, batches of up to
+    //    4 queued studies, a 32-deep admission queue.
     let cfg = ServerCfg {
         queue_bound: 32,
         batch: BatchPolicy { max_batch: 4 },
@@ -26,7 +26,7 @@ fn main() {
         ..ServerCfg::default()
     };
     let server = Server::start(cfg, || Framework::untrained_reduced(7)).expect("server starts");
-    println!("server up: 2 pipelines × (enhance → segment → classify), queue bound 32");
+    println!("server up: 2 workers × 1 thread (enhance → segment → classify), queue bound 32");
 
     // 2. Expose it over TCP (the same CRC framing the distributed
     //    trainer uses on its wire).

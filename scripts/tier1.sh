@@ -160,10 +160,11 @@ run_twice "REQUEST TRACING" results/trace_smoke.jsonl \
     env CC19_OBS_DETERMINISTIC=1 cargo test -q -p cc19-serve --test trace
 
 echo
-echo "=== tier-1: no timer on the serve request path ==="
-# The batching window and the router/node polling intervals are deleted
-# knobs (DESIGN.md §10, §14), not defaults to tune back in.
-if grep -rnE 'max_delay|CMD_WAIT|BUSY_POLL' crates/serve/src; then echo "tier-1: A BATCH WINDOW OR POLL INTERVAL IS BACK UNDER crates/serve/src"; status=1; fi
+echo "=== tier-1: no timer or deleted serve knob on the serve request path ==="
+# The batching window, the router/node polling intervals and the
+# enhancement slice-batching mode are deleted knobs (DESIGN.md §10, §14),
+# not defaults to tune back in.
+if grep -rnE 'max_delay|CMD_WAIT|BUSY_POLL|enhance_mode|EnhanceMode' crates/serve/src crates/pipeline/src; then echo "tier-1: A BATCH WINDOW, POLL INTERVAL OR DELETED SERVE KNOB IS BACK UNDER crates/serve/src OR crates/pipeline/src"; status=1; fi
 
 echo
 echo "=== tier-1: static analysis ==="
