@@ -27,7 +27,7 @@ fn bench_pipeline(c: &mut Criterion) {
     });
 
     let mut fw_no_enh = Framework::untrained_reduced(1);
-    fw_no_enh.without_enhancement();
+    fw_no_enh.enhancer = None;
     group.bench_function("diagnose_no_enhancement", |b| {
         b.iter(|| fw_no_enh.diagnose(&vol.hu, 0.5).unwrap())
     });

@@ -39,7 +39,6 @@ use cc19_kernels::deconv::{deconv2d_with, out_h, out_w};
 use cc19_kernels::simd::{self, SimdLevel};
 use cc19_kernels::OptLevel;
 use cc19_monitor::{PatientSeries, Provenance};
-use cc19_obs::span::enter_on;
 use cc19_obs::{Registry, Snapshot, SpanStatus};
 use cc19_serve::{
     BatchPolicy, ClusterCfg, ClusterMetrics, ServeCluster, ServeMetrics, ServeRequest, Server,
@@ -75,7 +74,6 @@ const CLUSTER_WORKERS: usize = 2;
 const MONITOR_STEPS: usize = 4;
 
 fn stage_gemm() {
-    let _span = enter_on(cc19_obs::global_arc(), "bench.gemm");
     let mut rng = Xorshift::new(SEED);
     let a = rng.uniform_tensor([GEMM_N, GEMM_N], -1.0, 1.0);
     let b = rng.uniform_tensor([GEMM_N, GEMM_N], -1.0, 1.0);
@@ -84,7 +82,6 @@ fn stage_gemm() {
 }
 
 fn stage_conv() {
-    let _span = enter_on(cc19_obs::global_arc(), "bench.conv");
     let mut rng = Xorshift::new(SEED ^ 1);
     let input = rng.uniform_tensor([1, 2, 24, 24], -1.0, 1.0);
     let weight = rng.uniform_tensor([4, 2, 3, 3], -0.5, 0.5);
@@ -94,7 +91,6 @@ fn stage_conv() {
 }
 
 fn stage_ctsim() {
-    let _span = enter_on(cc19_obs::global_arc(), "bench.ctsim");
     let grid = Grid::fov500(CT_N);
     let geom = ParallelBeamGeometry::for_image(CT_N, grid.px, CT_VIEWS);
     let hu_img = ChestPhantom::subject(SEED, 0.5, Some(Severity::Moderate)).rasterize_hu(CT_N);
@@ -124,7 +120,6 @@ fn pairs(n_pairs: usize, salt: u64) -> Vec<EnhancementPair> {
 }
 
 fn stage_trainer() {
-    let _span = enter_on(cc19_obs::global_arc(), "bench.trainer");
     let train = pairs(2, 100);
     let val = pairs(1, 200);
     let net = Ddnet::new(DdnetConfig::tiny(), SEED);
@@ -133,7 +128,6 @@ fn stage_trainer() {
 }
 
 fn stage_allreduce() {
-    let _span = enter_on(cc19_obs::global_arc(), "bench.allreduce");
     let plan = FaultPlan::seeded(
         1234,
         FaultConfig { p_drop: 0.05, p_duplicate: 0.05, ..FaultConfig::clean() },
@@ -146,7 +140,6 @@ fn stage_allreduce() {
 }
 
 fn stage_serve() {
-    let _span = enter_on(cc19_obs::global_arc(), "bench.serve");
     let cfg = ServerCfg {
         // max_batch 1 keeps the batcher's real-time coalescing window (the
         // one wall-clock wait in the serving path) out of the picture, so
@@ -171,15 +164,13 @@ fn stage_serve() {
 }
 
 fn stage_serve_cluster() -> std::sync::Arc<Registry> {
-    let _span = enter_on(cc19_obs::global_arc(), "bench.serve_cluster");
     let reg = cc19_obs::global();
     let clock = reg.clock();
     // The cluster's own metrics live on a *private* registry: its clock
     // is read only by the router's recovery timer (two reads on the
     // death path), so in deterministic mode the recovery latency is an
-    // exact, reproducible tick — worker frameworks read the global
-    // clock, but strictly sequentially (one request in flight at a
-    // time), keeping the global export byte-stable.
+    // exact, reproducible tick; requests go one at a time, keeping the
+    // global export byte-stable.
     let metrics = ClusterMetrics::new();
     let cfg = ClusterCfg {
         workers: CLUSTER_WORKERS,
@@ -236,7 +227,6 @@ fn stage_serve_cluster() -> std::sync::Arc<Registry> {
 }
 
 fn stage_monitor() {
-    let _span = enter_on(cc19_obs::global_arc(), "bench.monitor");
     let reg = cc19_obs::global();
     // The series registers its monitor_* counters and histograms on the
     // global registry, so they land in the exported JSON alongside the
@@ -273,7 +263,6 @@ const LADDER_N: usize = 32;
 const LADDER_C: usize = 4;
 
 fn stage_kernel_ladder() {
-    let _span = enter_on(cc19_obs::global_arc(), "bench.kernel_ladder");
     let reg = cc19_obs::global();
     let clock = reg.clock();
     let dispatches: &[SimdLevel] = if simd::detected() == SimdLevel::Avx2 {

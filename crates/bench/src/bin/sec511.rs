@@ -12,7 +12,7 @@ use cc19_analysis::segmentation::LungSegmenter;
 use cc19_analysis::train::{train_classifier, ClassTrainConfig, Example};
 use cc19_data::dataset::ClassificationDataset;
 use cc19_data::prep::{normalize_for_enhancement, PrepConfig};
-use computecovid19::framework::Framework;
+use computecovid19::framework::{Framework, Scratch};
 
 fn main() {
     let scale = parse_scale();
@@ -52,23 +52,27 @@ fn main() {
         segmenter: seg,
         classifier: cls,
         prep,
-        clock: cc19_obs::global_clock(),
     };
     let test_vol = &ds.test[0].volume.hu;
+    let mut scratch = Scratch::new();
     let t0 = std::time::Instant::now();
-    let d = fw.diagnose(test_vol, 0.5).unwrap();
-    let total = t0.elapsed().as_secs_f64();
+    let enh = fw.run_enhance(test_vol, &mut scratch).unwrap();
+    let t1 = std::time::Instant::now();
+    let seg = fw.run_segment(enh, &mut scratch).unwrap();
+    let t2 = std::time::Instant::now();
+    fw.run_classify(seg, 0.5, &mut scratch).unwrap();
+    let t3 = std::time::Instant::now();
+    let (seg_secs, class_secs) = ((t2 - t1).as_secs_f64(), (t3 - t2).as_secs_f64());
+    let total = (t3 - t0).as_secs_f64();
     println!("\ninference per study (measured, {n}^2x{slices} volume):");
-    println!("  segmentation  : {:.3} s   (paper: 45.88 s at 512^2 x full stacks)", d.t_segment.as_secs_f64());
-    println!("  classification: {:.3} s   (paper:  5.90 s)", d.t_classify.as_secs_f64());
+    println!("  segmentation  : {seg_secs:.3} s   (paper: 45.88 s at 512^2 x full stacks)");
+    println!("  classification: {class_secs:.3} s   (paper:  5.90 s)");
     println!("  total         : {total:.3} s");
     println!("\nshape check: segmentation dominates classification, as in the paper ({}).",
-        if d.t_segment > d.t_classify { "holds" } else { "differs at this scale" });
+        if seg_secs > class_secs { "holds" } else { "differs at this scale" });
 
     let csv = format!(
-        "metric,measured_s,paper_s\nclass_training,{train_secs},16080\nsegmentation_inference,{},45.88\nclassification_inference,{},5.90\n",
-        d.t_segment.as_secs_f64(),
-        d.t_classify.as_secs_f64()
+        "metric,measured_s,paper_s\nclass_training,{train_secs},16080\nsegmentation_inference,{seg_secs},45.88\nclassification_inference,{class_secs},5.90\n"
     );
     cc19_bench::write_result("sec511.csv", &csv);
 }

@@ -76,11 +76,11 @@ pub const METRIC_CTORS: &[&str] = &[
 ];
 
 /// Tracing constructors whose call carries a span-path string literal
-/// (the `cc19-obs` span/trace surface — the path is not always the
+/// (the `cc19-obs` trace surface — the path is not always the
 /// first argument, so the extractor takes the first literal in the
 /// call). When present, the metric-naming rule validates it as a
 /// dotted, crate-prefixed span path (DESIGN.md §17).
-pub const SPAN_CTORS: &[&str] = &["enter", "enter_on", "trace_child", "trace_record"];
+pub const SPAN_CTORS: &[&str] = &["trace_child", "trace_record"];
 
 /// Paths that must stay panic-free and use typed errors: the
 /// fault-tolerant link and transport, the whole serving dispatch crate,
@@ -352,7 +352,8 @@ fn is_valid_span_path(path: &str, krate: &str) -> bool {
 /// Extract `(ctor, path)` pairs from `window`: every [`SPAN_CTORS`]
 /// call starting within the first `limit` bytes whose balanced-paren
 /// argument list carries a string literal — the first such literal is
-/// the span path (`enter_on(reg, "bench.gemm")` puts it second).
+/// the span path (`trace_child(ctx, "serve.enhance", t0, t1)` puts it
+/// second).
 fn extract_span_paths(window: &str, limit: usize) -> Vec<(&'static str, &str)> {
     let bytes = window.as_bytes();
     let ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
@@ -479,7 +480,7 @@ fn metric_naming(files: &[SourceFile], cfg: &LintConfig) -> Vec<Violation> {
             }
         }
         // Same gate, extended to the tracing surface: span-path
-        // literals recorded through the cc19-obs span/trace ctors must
+        // literals recorded through the cc19-obs trace ctors must
         // be dotted snake_case under the crate's own namespace, so one
         // request's tree reads uniformly across broker, cluster wire,
         // and monitor cache spans (DESIGN.md §17). The window extends a

@@ -189,15 +189,7 @@ mod tests {
     use std::time::Duration;
 
     fn diag(p: f64) -> Diagnosis {
-        Diagnosis {
-            probability: p,
-            positive: p >= 0.5,
-            t_queue: Duration::ZERO,
-            t_enhance: Duration::ZERO,
-            t_segment: Duration::ZERO,
-            t_classify: Duration::ZERO,
-            t_total: Duration::ZERO,
-        }
+        Diagnosis { probability: p, positive: p >= 0.5, t_queue: Duration::ZERO }
     }
 
     fn key(n: u64) -> StudyKey {

@@ -206,7 +206,7 @@ mod tests {
         assert_ne!(ka.config, StudyKey::for_study(&fw_a, &vol, 0.75).config);
         // removing the enhancer is both a weight and a config change
         let mut bare = Framework::untrained_reduced(1);
-        bare.without_enhancement();
+        bare.enhancer = None;
         let kb = StudyKey::for_study(&bare, &vol, 0.5);
         assert_ne!(ka.weights, kb.weights);
         assert_ne!(ka.config, kb.config);

@@ -58,15 +58,7 @@ proptest! {
 /// Helper: diagnosis with fixed probability for cache-level tests.
 fn diag(p: f64) -> Diagnosis {
     use std::time::Duration;
-    Diagnosis {
-        probability: p,
-        positive: p >= 0.5,
-        t_queue: Duration::ZERO,
-        t_enhance: Duration::ZERO,
-        t_segment: Duration::ZERO,
-        t_classify: Duration::ZERO,
-        t_total: Duration::ZERO,
-    }
+    Diagnosis { probability: p, positive: p >= 0.5, t_queue: Duration::ZERO }
 }
 
 #[test]

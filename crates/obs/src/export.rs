@@ -1,5 +1,5 @@
-//! Exporters: Prometheus text exposition, CSV, JSON registry dump, and
-//! a JSONL span-trace dump.
+//! Exporters: Prometheus text exposition and a JSON registry dump
+//! (request span trees export through [`crate::trace::tree_jsonl`]).
 //!
 //! Every exporter renders from a sorted [`Snapshot`], formats floats
 //! with Rust's shortest-round-trip `{:?}` representation, and contains
@@ -8,7 +8,7 @@
 //! byte-compare consecutive `results/bench_obs.json` runs under the
 //! manual clock.
 
-use crate::registry::{Registry, Snapshot};
+use crate::registry::Snapshot;
 
 /// Deterministic float rendering: shortest round-trip form; non-finite
 /// values (which no well-behaved metric produces) degrade to `0`.
@@ -31,16 +31,6 @@ pub(crate) fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Quote a CSV field (RFC 4180): wraps in `"` when it contains a comma,
-/// quote, or newline, doubling interior quotes.
-fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
 }
 
 /// Render a key with one extra label appended (for summary quantiles).
@@ -108,39 +98,9 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
     out
 }
 
-/// CSV dump: header `kind,key,stat,value`, one row per scalar; each
-/// histogram expands into count/sum/mean/p50/p95/p99/max rows. Sorted.
-pub fn to_csv(snap: &Snapshot) -> String {
-    let mut out = String::from("kind,key,stat,value\n");
-    for e in &snap.counters {
-        out.push_str(&format!("counter,{},value,{}\n", csv_field(&e.key), e.value));
-    }
-    for e in &snap.gauges {
-        out.push_str(&format!("gauge,{},value,{}\n", csv_field(&e.key), fmt_f64(e.value)));
-    }
-    for e in &snap.histograms {
-        let k = csv_field(&e.key);
-        let h = &e.value;
-        out.push_str(&format!("histogram,{k},count,{}\n", h.count()));
-        out.push_str(&format!("histogram,{k},sum,{}\n", fmt_f64(h.sum())));
-        out.push_str(&format!("histogram,{k},mean,{}\n", fmt_f64(h.mean())));
-        for (stat, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
-            out.push_str(&format!("histogram,{k},{stat},{}\n", fmt_f64(h.quantile(q))));
-        }
-        out.push_str(&format!("histogram,{k},max,{}\n", fmt_f64(h.max())));
-    }
-    for (path, stat) in &snap.spans {
-        let k = csv_field(path);
-        out.push_str(&format!("span,{k},count,{}\n", stat.count));
-        out.push_str(&format!("span,{k},total_ns,{}\n", stat.total_ns));
-    }
-    out
-}
-
-/// JSON registry dump (the `results/bench_obs.json` format): four
-/// sorted maps — counters, gauges, histogram summaries, span
-/// aggregates. 2-space indented, keys escaped, floats shortest
-/// round-trip.
+/// JSON registry dump (the `results/bench_obs.json` format): three
+/// sorted maps — counters, gauges, histogram summaries. 2-space
+/// indented, keys escaped, floats shortest round-trip.
 pub fn to_json(snap: &Snapshot) -> String {
     let mut out = String::from("{\n  \"counters\": {");
     push_map(&mut out, snap.counters.iter().map(|e| (e.key.as_str(), e.value.to_string())));
@@ -164,13 +124,6 @@ pub fn to_json(snap: &Snapshot) -> String {
             (e.key.as_str(), body)
         }),
     );
-    out.push_str(",\n  \"spans\": {");
-    push_map(
-        &mut out,
-        snap.spans.iter().map(|(path, s)| {
-            (path.as_str(), format!("{{\"count\": {}, \"total_ns\": {}}}", s.count, s.total_ns))
-        }),
-    );
     out.push_str("\n}\n");
     out
 }
@@ -191,29 +144,11 @@ fn push_map<'a>(out: &mut String, entries: impl Iterator<Item = (&'a str, String
     }
 }
 
-/// JSONL span-trace dump: one event per line, in completion order.
-/// Locking goes through the poison-recovering [`crate::lock::lock`], so
-/// a panicked instrumented thread cannot blank the dump.
-pub fn trace_jsonl(reg: &Registry) -> String {
-    let store = crate::lock::lock(&reg.spans);
-    let mut out = String::new();
-    for e in store.trace() {
-        out.push_str(&format!(
-            "{{\"seq\": {}, \"span\": \"{}\", \"start_ns\": {}, \"dur_ns\": {}}}\n",
-            e.seq,
-            json_escape(&e.path),
-            e.start_ns,
-            e.dur_ns
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::{Clock, ManualClock};
-    use crate::span::enter_on;
+    use crate::registry::Registry;
     use std::sync::Arc;
 
     fn sample_registry() -> Arc<Registry> {
@@ -225,9 +160,6 @@ mod tests {
         for v in [0.001, 0.002, 0.003] {
             h.observe(v);
         }
-        {
-            let _s = enter_on(Arc::clone(&reg), "demo");
-        }
         reg
     }
 
@@ -237,7 +169,6 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(to_prometheus(&snap), to_prometheus(&snap));
         assert_eq!(to_json(&snap), to_json(&snap));
-        assert_eq!(to_csv(&snap), to_csv(&snap));
     }
 
     #[test]
@@ -257,26 +188,5 @@ mod tests {
         assert!(text.contains("\"obs_demo_total\": 7"));
         assert!(text.contains("\"obs_demo_ratio{kind=\\\"test\\\"}\": 0.5"));
         assert!(text.contains("\"p95\": 0.003"));
-        assert!(text.contains("\"spans\""));
-    }
-
-    #[test]
-    fn trace_jsonl_one_line_per_event() {
-        let reg = sample_registry();
-        let text = trace_jsonl(&reg);
-        assert_eq!(text.lines().count(), 1);
-        assert!(text.starts_with("{\"seq\": 0, \"span\": \"demo\""));
-    }
-
-    #[test]
-    fn csv_rows_are_three_stats_wide() {
-        let text = to_csv(&sample_registry().snapshot());
-        assert!(text.starts_with("kind,key,stat,value\n"));
-        assert!(text.contains("counter,obs_demo_total,value,7"));
-        // Labelled keys contain commas only when multi-labelled; quoting
-        // keeps rows parseable either way.
-        for line in text.lines().skip(1) {
-            assert!(line.split(',').count() >= 4, "short row: {line}");
-        }
     }
 }

@@ -6,14 +6,13 @@
 //! * [`registry`] — thread-safe counters, gauges, and exact-sample
 //!   histograms (nearest-rank quantiles, the workspace's single
 //!   quantile implementation) addressed by static name + label set;
-//! * [`span`] — hierarchical RAII spans ([`span!`]) aggregated by
-//!   dotted path, with a bounded trace buffer;
-//! * [`trace`] — request-scoped distributed tracing: a [`TraceCtx`]
-//!   minted at admission and carried explicitly across thread and wire
-//!   hops, a pre-sized span-record ring, sorted-key JSONL tree export,
-//!   and the critical-path latency analyzer (DESIGN.md §17);
-//! * [`export`] — Prometheus text exposition, CSV, JSON, and JSONL
-//!   trace dumps, all sorted-key deterministic.
+//! * [`trace`] — request-scoped distributed tracing, the one span
+//!   system: a [`TraceCtx`] minted at admission and carried explicitly
+//!   across thread and wire hops, a pre-sized span-record ring,
+//!   sorted-key JSONL tree export, and the critical-path latency
+//!   analyzer (DESIGN.md §17);
+//! * [`export`] — Prometheus text exposition and a JSON registry dump,
+//!   both sorted-key deterministic.
 //!
 //! Every timestamp flows through the injectable [`clock::Clock`] trait:
 //! binaries read a real [`clock::MonotonicClock`] (the one allowlisted
@@ -34,14 +33,12 @@ pub mod export;
 pub mod histogram;
 mod lock;
 pub mod registry;
-pub mod span;
 pub mod trace;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use histogram::Histogram;
 pub use lock::lock;
 pub use registry::{Counter, Entry, Gauge, HistogramHandle, Registry, Snapshot, Timer};
-pub use span::{Span, SpanStat};
 pub use trace::{SpanRecord, SpanStatus, TraceCtx};
 
 static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
@@ -56,8 +53,8 @@ fn global_arc_ref() -> &'static Arc<Registry> {
     GLOBAL.get_or_init(|| Arc::new(Registry::new()))
 }
 
-/// The global registry as a shareable `Arc` (what [`span!`] guards and
-/// injected subsystems hold).
+/// The global registry as a shareable `Arc` (what injected subsystems
+/// hold).
 pub fn global_arc() -> Arc<Registry> {
     Arc::clone(global_arc_ref())
 }

@@ -1,7 +1,7 @@
 //! Poison-recovering `Mutex` locking — the workspace's one copy.
 //!
-//! All state guarded by obs locks is plain owned data (metric maps, span
-//! aggregates, the trace ring) that stays structurally valid wherever a
+//! All state guarded by obs locks is plain owned data (metric maps,
+//! histograms, the trace ring) that stays structurally valid wherever a
 //! panicking holder stopped, so recovering the inner value is always
 //! sound. Routing every acquisition through [`lock`] means a panicked
 //! instrumented thread can never blank a trace dump or a snapshot — the

@@ -15,7 +15,6 @@ use std::sync::{Arc, Mutex};
 use crate::clock::{default_clock, Clock};
 use crate::histogram::Histogram;
 use crate::lock::lock;
-use crate::span::{SpanStat, SpanStore};
 use crate::trace::TraceStore;
 
 /// A monotonically increasing integer metric.
@@ -157,8 +156,6 @@ pub struct Snapshot {
     pub gauges: Vec<Entry<f64>>,
     /// All histograms, sorted by key.
     pub histograms: Vec<Entry<Histogram>>,
-    /// Aggregated span statistics, sorted by span path.
-    pub spans: Vec<(String, SpanStat)>,
 }
 
 /// The metrics registry. Cheap to share via `Arc`; every process also
@@ -166,7 +163,6 @@ pub struct Snapshot {
 pub struct Registry {
     clock: Arc<dyn Clock>,
     metrics: Mutex<BTreeMap<String, Metric>>,
-    pub(crate) spans: Mutex<SpanStore>,
     pub(crate) traces: Mutex<TraceStore>,
 }
 
@@ -206,7 +202,6 @@ impl Registry {
         Registry {
             clock,
             metrics: Mutex::new(BTreeMap::new()),
-            spans: Mutex::new(SpanStore::default()),
             traces: Mutex::new(TraceStore::default()),
         }
     }
@@ -312,45 +307,34 @@ impl Registry {
         Timer::start(self.clock(), self.histogram_with(name, labels))
     }
 
-    /// Sorted, consistent snapshot of every metric and span aggregate.
+    /// Sorted, consistent snapshot of every metric.
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
-        {
-            let m = self.metrics_lock();
-            for (key, metric) in m.iter() {
-                let name = metric.name.clone();
-                let labels = metric.labels.clone();
-                let key = key.clone();
-                match &metric.slot {
-                    Slot::Counter(c) => snap.counters.push(Entry {
-                        name,
-                        labels,
-                        key,
-                        value: c.load(Ordering::Relaxed),
-                    }),
-                    Slot::Gauge(g) => snap.gauges.push(Entry {
-                        name,
-                        labels,
-                        key,
-                        value: f64::from_bits(g.load(Ordering::Relaxed)),
-                    }),
-                    Slot::Histogram(h) => {
-                        let value = lock(h).clone();
-                        snap.histograms.push(Entry { name, labels, key, value });
-                    }
+        let m = self.metrics_lock();
+        for (key, metric) in m.iter() {
+            let name = metric.name.clone();
+            let labels = metric.labels.clone();
+            let key = key.clone();
+            match &metric.slot {
+                Slot::Counter(c) => snap.counters.push(Entry {
+                    name,
+                    labels,
+                    key,
+                    value: c.load(Ordering::Relaxed),
+                }),
+                Slot::Gauge(g) => snap.gauges.push(Entry {
+                    name,
+                    labels,
+                    key,
+                    value: f64::from_bits(g.load(Ordering::Relaxed)),
+                }),
+                Slot::Histogram(h) => {
+                    let value = lock(h).clone();
+                    snap.histograms.push(Entry { name, labels, key, value });
                 }
             }
         }
-        snap.spans = self.span_stats();
         snap
-    }
-
-    /// Aggregated span statistics, sorted by path. Locking goes through
-    /// the poison-recovering [`crate::lock::lock`], so a panicked
-    /// instrumented thread cannot blank the aggregates.
-    pub fn span_stats(&self) -> Vec<(String, SpanStat)> {
-        let store = lock(&self.spans);
-        store.stats().iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 }
 

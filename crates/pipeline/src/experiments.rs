@@ -183,12 +183,11 @@ pub fn run_accuracy_experiment(cfg: AccuracyConfig) -> Result<AccuracyOutcome> {
         segmenter,
         classifier: DenseNet3d::new(ClassifierConfig::tiny(), 0), // placeholder, unused
         prep,
-        clock: cc19_obs::global_clock(),
     };
     let mut examples = Vec::with_capacity(class_data.train.len());
     for item in &class_data.train {
-        let (masked, _, _) = clean_fw.preprocess(&item.volume.hu)?;
-        examples.push(Example { volume: masked, label: item.label });
+        let volume = clean_fw.preprocess(&item.volume.hu)?;
+        examples.push(Example { volume, label: item.label });
     }
     let classifier = DenseNet3d::new(ClassifierConfig::tiny(), cfg.seed ^ 0xC1A55);
     let mut ctc = ClassTrainConfig::quick(cfg.class_epochs);
@@ -214,8 +213,7 @@ pub fn run_accuracy_experiment(cfg: AccuracyConfig) -> Result<AccuracyOutcome> {
 
     // --- 4. Score both arms -------------------------------------------------
     // Original arm: Segmentation + Classification only (grey curves).
-    let fw_orig =
-        Framework { enhancer: None, segmenter, classifier, prep, clock: cc19_obs::global_clock() };
+    let fw_orig = Framework { enhancer: None, segmenter, classifier, prep };
     let mut scores_original = Vec::with_capacity(noisy_volumes.len());
     for v in &noisy_volumes {
         scores_original.push(fw_orig.probability(v)?);

@@ -5,7 +5,9 @@
 //! [`Framework::run_classify`] — so a caller can time each one and keep
 //! its intermediate artefacts: the serving layer (`cc19-serve`) records
 //! a trace span per stage, and the monitoring layer captures the lung
-//! mask. [`Framework::diagnose`] chains the three stages in place and
+//! mask. The framework itself is pure compute: it reads no clock, and
+//! a caller that wants a stage's time times the stage call.
+//! [`Framework::diagnose`] chains the three stages in place and
 //! is a thin wrapper over [`Framework::diagnose_batch`]; the batch form
 //! threads a [`Scratch`] buffer pool through the stages so intermediate
 //! volume-sized tensors are reused across studies instead of
@@ -13,11 +15,9 @@
 //! bit-identical to their allocating forms, so a batch of one equals a
 //! single call bit for bit — tested below).
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use cc19_analysis::classifier::{ClassifierConfig, DenseNet3d};
-use cc19_obs::Clock;
 use cc19_analysis::segmentation::{apply_mask_into, LungSegmenter};
 use cc19_data::prep::{
     denormalize_from_enhancement_into, normalize_for_enhancement_into, PrepConfig,
@@ -37,31 +37,11 @@ pub struct Diagnosis {
     pub positive: bool,
     /// Time the study spent queued before its first stage started
     /// (zero for direct `diagnose` calls; filled in by the serving
-    /// layer's broker).
+    /// layer's worker).
     pub t_queue: Duration,
-    /// Time spent in Enhancement AI.
-    pub t_enhance: Duration,
-    /// Time spent in Segmentation AI (mask *inference*; applying the
-    /// mask is accounted in [`Diagnosis::t_total`]).
-    pub t_segment: Duration,
-    /// Time spent in Classification AI.
-    pub t_classify: Duration,
-    /// Wall-clock from the start of preprocessing to the end of
-    /// classification — includes normalization and segmentation-mask
-    /// application, neither of which the three stage timers cover.
-    pub t_total: Duration,
 }
 
 impl Diagnosis {
-    /// Total processing time. This is the wall-clock [`Self::t_total`],
-    /// which includes segmentation mask application and normalization —
-    /// the sum of the three stage timers alone undercounts whenever the
-    /// masking cost is nonzero. Queue wait ([`Self::t_queue`]) is *not*
-    /// included; add it for end-to-end study turnaround.
-    pub fn total_time(&self) -> Duration {
-        self.t_total
-    }
-
     /// Attach the queue wait measured by a serving layer.
     pub fn with_queue_time(mut self, t_queue: Duration) -> Self {
         self.t_queue = t_queue;
@@ -125,21 +105,6 @@ pub struct Enhanced {
     pub unit: Tensor,
     /// HU-space volume the segmenter should mask from.
     hu_for_seg: Tensor,
-    /// Enhancement-AI time.
-    pub t_enhance: Duration,
-    /// Clock-ns when preprocessing for this study began (drives
-    /// `t_total`; read from the framework's [`Clock`]).
-    started: u64,
-}
-
-impl Enhanced {
-    /// Clock-ns when this study's preprocessing began on the
-    /// framework's clock — the anchor a tracing caller uses to start a
-    /// stage span at the same instant the `t_total` accounting does
-    /// (DESIGN.md §17).
-    pub fn started_ns(&self) -> u64 {
-        self.started
-    }
 }
 
 /// Intermediate artifacts of the segmentation stage, captured via
@@ -160,17 +125,6 @@ pub struct StageCapture {
 pub struct Segmented {
     /// Masked, normalized volume — the classifier's input.
     pub masked: Tensor,
-    t_enhance: Duration,
-    t_segment: Duration,
-    started: u64,
-}
-
-impl Segmented {
-    /// Clock-ns when the study's preprocessing began (see
-    /// [`Enhanced::started_ns`]).
-    pub fn started_ns(&self) -> u64 {
-        self.started
-    }
 }
 
 /// The ComputeCOVID19+ pipeline: optional Enhancement AI, Segmentation AI,
@@ -185,13 +139,6 @@ pub struct Framework {
     pub classifier: DenseNet3d,
     /// HU normalization window.
     pub prep: PrepConfig,
-    /// The clock stage timings read. Defaults to the process-wide
-    /// [`cc19_obs::global_clock`] so timestamps taken by one replica
-    /// (the serving layer runs one replica per worker thread) are
-    /// comparable on every other; tests inject a
-    /// [`cc19_obs::ManualClock`] via [`Framework::with_clock`] for exact
-    /// latency assertions.
-    pub clock: Arc<dyn Clock>,
 }
 
 impl Framework {
@@ -203,14 +150,7 @@ impl Framework {
             segmenter: LungSegmenter::default(),
             classifier: DenseNet3d::new(ClassifierConfig::tiny(), seed ^ 0xC1A55),
             prep: PrepConfig::scaled(1),
-            clock: cc19_obs::global_clock(),
         }
-    }
-
-    /// Replace the timing clock (builder-style).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
-        self
     }
 
     // -- stage methods (the serving layer runs them in turn, one span each) --
@@ -220,7 +160,6 @@ impl Framework {
     // cc19-hot
     pub fn run_enhance(&self, vol_hu: &Tensor, scratch: &mut Scratch) -> Result<Enhanced> {
         vol_hu.shape().expect_rank(3)?;
-        let started = self.clock.now_ns();
         let dims = vol_hu.dims().to_vec();
 
         // Normalize each slice into [0,1] (Enhancement AI's input space).
@@ -229,19 +168,17 @@ impl Framework {
 
         match &self.enhancer {
             Some(net) => {
-                let t0 = self.clock.now_ns();
                 let mut enhanced = scratch.take(&dims);
                 enhance_volume_into(net, &unit, &mut enhanced)?;
                 let mut hu_for_seg = scratch.take(&dims);
                 denormalize_from_enhancement_into(&enhanced, self.prep, &mut hu_for_seg)?;
-                let t_enhance = Duration::from_nanos(self.clock.now_ns().saturating_sub(t0));
                 scratch.recycle(unit);
-                Ok(Enhanced { unit: enhanced, hu_for_seg, t_enhance, started })
+                Ok(Enhanced { unit: enhanced, hu_for_seg })
             }
             None => {
                 let mut hu_for_seg = scratch.take(&dims);
                 hu_for_seg.data_mut().copy_from_slice(vol_hu.data());
-                Ok(Enhanced { unit, hu_for_seg, t_enhance: Duration::ZERO, started })
+                Ok(Enhanced { unit, hu_for_seg })
             }
         }
     }
@@ -267,16 +204,12 @@ impl Framework {
         enh: Enhanced,
         scratch: &mut Scratch,
     ) -> Result<(Segmented, StageCapture)> {
-        let Enhanced { unit, hu_for_seg, t_enhance, started } = enh;
-        let t0 = self.clock.now_ns();
+        let Enhanced { unit, hu_for_seg } = enh;
         let mask = self.segmenter.segment_volume(&hu_for_seg)?;
-        let t_segment = Duration::from_nanos(self.clock.now_ns().saturating_sub(t0));
-        // Mask application is deliberately *outside* the t_segment
-        // window; its cost lands in t_total (see Diagnosis::total_time).
         let mut masked = scratch.take(unit.dims());
         apply_mask_into(&unit, &mask, &mut masked)?;
         scratch.recycle(unit);
-        let seg = Segmented { masked, t_enhance, t_segment, started };
+        let seg = Segmented { masked };
         Ok((seg, StageCapture { enhanced_hu: hu_for_seg, mask }))
     }
 
@@ -287,32 +220,20 @@ impl Framework {
         threshold: f64,
         scratch: &mut Scratch,
     ) -> Result<Diagnosis> {
-        let Segmented { masked, t_enhance, t_segment, started } = seg;
-        let t0 = self.clock.now_ns();
-        let probability = self.classifier.predict_proba(&masked)?;
-        let t_classify = Duration::from_nanos(self.clock.now_ns().saturating_sub(t0));
-        scratch.recycle(masked);
-        Ok(Diagnosis {
-            probability,
-            positive: probability >= threshold,
-            t_queue: Duration::ZERO,
-            t_enhance,
-            t_segment,
-            t_classify,
-            t_total: Duration::from_nanos(self.clock.now_ns().saturating_sub(started)),
-        })
+        let probability = self.classifier.predict_proba(&seg.masked)?;
+        scratch.recycle(seg.masked);
+        Ok(Diagnosis { probability, positive: probability >= threshold, t_queue: Duration::ZERO })
     }
 
     // -- convenience entry points --
 
     /// Preprocess a `(D, H, W)` HU volume into the classifier's input:
     /// normalize → (enhance) → segment → mask. Returns the normalized,
-    /// masked volume plus stage timings.
-    pub fn preprocess(&self, vol_hu: &Tensor) -> Result<(Tensor, Duration, Duration)> {
+    /// masked volume.
+    pub fn preprocess(&self, vol_hu: &Tensor) -> Result<Tensor> {
         let mut scratch = Scratch::new();
         let enh = self.run_enhance(vol_hu, &mut scratch)?;
-        let seg = self.run_segment(enh, &mut scratch)?;
-        Ok((seg.masked, seg.t_enhance, seg.t_segment))
+        Ok(self.run_segment(enh, &mut scratch)?.masked)
     }
 
     /// Probability that the study is COVID-positive.
@@ -320,7 +241,7 @@ impl Framework {
         Ok(self.diagnose(vol_hu, 0.5)?.probability)
     }
 
-    /// Full diagnosis with stage timings — a thin wrapper over
+    /// Full diagnosis — a thin wrapper over
     /// [`Framework::diagnose_batch`] with a batch of one.
     // cc19-hot
     pub fn diagnose(&self, vol_hu: &Tensor, threshold: f64) -> Result<Diagnosis> {
@@ -343,12 +264,6 @@ impl Framework {
                 self.run_classify(seg, threshold, &mut scratch)
             })
             .collect()
-    }
-
-    /// Disable Enhancement AI (the paper's baseline arm), returning the
-    /// removed network.
-    pub fn without_enhancement(&mut self) -> Option<Ddnet> {
-        self.enhancer.take()
     }
 }
 
@@ -394,31 +309,24 @@ mod tests {
         let d = fw.diagnose(&vol.hu, 0.5).unwrap();
         assert!((0.0..=1.0).contains(&d.probability));
         assert_eq!(d.positive, d.probability >= 0.5);
-        assert!(d.total_time() >= d.t_enhance);
-        // t_total is a wall clock over all three stages plus masking.
-        assert!(d.t_total >= d.t_enhance + d.t_segment + d.t_classify);
         assert_eq!(d.t_queue, Duration::ZERO);
     }
 
     #[test]
     fn enhancement_arm_is_removable() {
         let mut fw = Framework::untrained_reduced(2);
-        assert!(fw.enhancer.is_some());
-        let removed = fw.without_enhancement();
-        assert!(removed.is_some());
-        assert!(fw.enhancer.is_none());
+        assert!(fw.enhancer.take().is_some());
         // still diagnoses
         let vol = test_volume(false);
         let d = fw.diagnose(&vol.hu, 0.5).unwrap();
         assert!((0.0..=1.0).contains(&d.probability));
-        assert_eq!(d.t_enhance, Duration::ZERO);
     }
 
     #[test]
     fn preprocess_masks_background() {
         let fw = Framework::untrained_reduced(3);
         let vol = test_volume(false);
-        let (masked, _, _) = fw.preprocess(&vol.hu).unwrap();
+        let masked = fw.preprocess(&vol.hu).unwrap();
         assert_eq!(masked.dims(), vol.hu.dims());
         // corners (outside body) must be zeroed by the mask
         assert_eq!(masked.at(&[0, 0, 0]), 0.0);

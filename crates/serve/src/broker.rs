@@ -60,9 +60,10 @@ pub struct Job {
     /// Root trace context minted at admission (DESIGN.md §17); the
     /// span-tree root is recorded against it when the request resolves.
     pub trace: TraceCtx,
-    /// Dispatch timestamp in clock-ns, stamped when the job leaves the
-    /// queue inside a batch (0 while still queued).
-    pub t_dispatch: u64,
+    /// Pop timestamp in clock-ns, stamped when the job leaves the queue
+    /// inside a batch (0 while still queued). The worker's
+    /// `serve.batch` span runs from here to the job's own start.
+    pub t_pop: u64,
     /// Exactly-once reply channel.
     pub reply: Sender<ServeResponse>,
 }
@@ -163,7 +164,7 @@ impl Broker {
             volume: req.volume,
             submitted: now,
             trace,
-            t_dispatch: 0,
+            t_pop: 0,
             reply,
         };
         let class = &mut inner.classes[req.priority.class()];
@@ -208,14 +209,13 @@ impl Broker {
         }
         drop(inner);
         self.metrics.on_batch(batch.len());
-        // Record the queue/batch segments so they tile each trace:
-        // queue = admission → pop, batch = pop → dispatch.
-        let t_dispatch = self.metrics.now_ns();
+        // Record each trace's queue segment (admission → pop); the
+        // worker records the batch segment from the pop to the job's
+        // own start.
         let reg = self.metrics.registry();
         for job in batch.iter_mut() {
             reg.trace_child(job.trace, "serve.queue", job.submitted, t_pop);
-            reg.trace_child(job.trace, "serve.batch", t_pop, t_dispatch);
-            job.t_dispatch = t_dispatch;
+            job.t_pop = t_pop;
         }
         Some(batch)
     }

@@ -257,10 +257,6 @@ mod tests {
             probability: 0.987654321234,
             positive: true,
             t_queue: Duration::from_micros(3),
-            t_enhance: Duration::from_millis(5),
-            t_segment: Duration::from_millis(7),
-            t_classify: Duration::from_micros(11),
-            t_total: Duration::from_millis(13),
         };
         match decode_reply(&encode_reply_ok(5, &d, &sample_spans())).unwrap() {
             Reply::Ok { req_id, diagnosis, spans } => {
@@ -293,15 +289,7 @@ mod tests {
         assert!(decode_reply(&[9]).is_err());
         // A byte past the layout is an error too.
         let req = ServeRequest::routine(Tensor::zeros([1, 2, 2]));
-        let d = Diagnosis {
-            probability: 0.5,
-            positive: false,
-            t_queue: Duration::ZERO,
-            t_enhance: Duration::ZERO,
-            t_segment: Duration::ZERO,
-            t_classify: Duration::ZERO,
-            t_total: Duration::ZERO,
-        };
+        let d = Diagnosis { probability: 0.5, positive: false, t_queue: Duration::ZERO };
         let mut long_spans = vec![REPLY_OK];
         put_section(&mut long_spans, &[encode_spans(&sample_spans()), vec![0]].concat());
         long_spans.extend_from_slice(&wire::encode_ok(5, &d));

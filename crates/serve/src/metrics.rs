@@ -7,18 +7,18 @@
 //! histogram lives in a shared registry (fresh per [`ServeMetrics::new`]
 //! for test isolation; inject one via [`ServeMetrics::with_registry`] to
 //! fold serving metrics into a process-wide export such as the
-//! deterministic bench). All timestamps the serving layer takes — queue
-//! wait, deadline checks, stage timers — read the registry's injectable
-//! clock, so a [`cc19_obs::ManualClock`] makes latencies exactly
-//! assertable (see `tests/e2e.rs`).
+//! deterministic bench). All timestamps the serving layer takes —
+//! admission, deadline checks, the worker's stage stamps — read the
+//! registry's injectable clock, so a [`cc19_obs::ManualClock`] makes
+//! latencies exactly assertable (see `tests/e2e.rs`). Every
+//! `serve_stage_ms` sample is the duration of one of the request's
+//! trace spans, taken from the same two clock reads.
 
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 use cc19_obs::{Clock, Counter, Gauge, HistogramHandle, Registry};
-
-use computecovid19::Diagnosis;
 
 use crate::request::Rejected;
 
@@ -137,19 +137,25 @@ impl ServeMetrics {
         self.batch_size.observe(size as f64);
     }
 
-    pub(crate) fn on_complete(&self, d: &Diagnosis, missed_deadline: bool) {
+    /// Count one completed job and record its stage samples from the
+    /// worker's stamps `[start, enhance end, segment end, classify end]`:
+    /// `queue` is admission → start, each compute stage is its span,
+    /// `total` is start → classify end; every sample is `ns / 1e6` ms.
+    pub(crate) fn on_complete(&self, submitted: u64, stamps: &[u64; 4], missed_deadline: bool) {
         self.completed.inc();
         if missed_deadline {
             self.deadline_missed.inc();
         }
-        let ms = [
-            d.t_queue.as_secs_f64() * 1e3,
-            d.t_enhance.as_secs_f64() * 1e3,
-            d.t_segment.as_secs_f64() * 1e3,
-            d.t_classify.as_secs_f64() * 1e3,
-            d.t_total.as_secs_f64() * 1e3,
+        let [start, enhanced, segmented, classified] = *stamps;
+        let ms = |from: u64, to: u64| to.saturating_sub(from) as f64 / 1e6;
+        let samples = [
+            ms(submitted, start),
+            ms(start, enhanced),
+            ms(enhanced, segmented),
+            ms(segmented, classified),
+            ms(start, classified),
         ];
-        for ((_, h), v) in self.stages.iter().zip(ms) {
+        for ((_, h), v) in self.stages.iter().zip(samples) {
             h.observe(v);
         }
     }
@@ -231,25 +237,19 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-    use std::time::Duration;
 
-    fn fake_diagnosis(total_ms: u64) -> Diagnosis {
-        Diagnosis {
-            probability: 0.5,
-            positive: true,
-            t_queue: Duration::from_millis(1),
-            t_enhance: Duration::from_millis(2),
-            t_segment: Duration::from_millis(3),
-            t_classify: Duration::from_millis(4),
-            t_total: Duration::from_millis(total_ms),
-        }
+    /// Stamps of a job admitted at 0 that starts at 1 ms and whose
+    /// classification ends `total_ms` later.
+    fn stamps(total_ms: u64) -> [u64; 4] {
+        let start = 1_000_000;
+        [start, start, start, start + total_ms * 1_000_000]
     }
 
     #[test]
     fn quantiles_are_nearest_rank() {
         let m = ServeMetrics::new();
         for v in 1..=100 {
-            m.on_complete(&fake_diagnosis(v), false);
+            m.on_complete(0, &stamps(v), false);
         }
         let (p50, p95, p99) = m.total_latency_quantiles_ms();
         assert_eq!(p50, 50.0);
@@ -265,7 +265,7 @@ mod tests {
         m.on_batch(2);
         m.on_batch(2);
         m.on_reject(&Rejected::QueueFull { depth: 4, bound: 4 });
-        m.on_complete(&fake_diagnosis(10), false);
+        m.on_complete(0, &stamps(10), false);
         let csv = m.to_csv();
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some("section,name,value"));

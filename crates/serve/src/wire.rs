@@ -9,7 +9,7 @@
 //! | kind | direction | payload |
 //! |------|-----------|---------|
 //! | [`KIND_REQUEST`] | client → server | `[priority u8][has_deadline u8][deadline_micros u64][d u32][h u32][w u32][f32-LE × d·h·w]` |
-//! | [`KIND_RESPONSE_OK`] | server → client | `[id u64][probability f64-bits u64][positive u8][t_queue..t_total nanos u64 × 5]` |
+//! | [`KIND_RESPONSE_OK`] | server → client | `[id u64][probability f64-bits u64][positive u8][t_queue nanos u64]` |
 //! | [`KIND_RESPONSE_REJECT`] | server → client | structured [`Rejected`] (see [`encode_reject`]) |
 //! | [`KIND_RESPONSE_FAIL`] | server → client | `[id u64][utf-8 error]` |
 //!
@@ -145,13 +145,11 @@ pub fn decode_request(payload: &[u8]) -> io::Result<ServeRequest> {
 
 /// Encode an OK response payload.
 pub fn encode_ok(id: u64, d: &Diagnosis) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 8 + 1 + 40);
+    let mut out = Vec::with_capacity(8 + 8 + 1 + 8);
     out.extend_from_slice(&id.to_le_bytes());
     out.extend_from_slice(&d.probability.to_bits().to_le_bytes());
     out.push(d.positive as u8);
-    for t in [d.t_queue, d.t_enhance, d.t_segment, d.t_classify, d.t_total] {
-        out.extend_from_slice(&(t.as_nanos() as u64).to_le_bytes());
-    }
+    out.extend_from_slice(&(d.t_queue.as_nanos() as u64).to_le_bytes());
     out
 }
 
@@ -161,23 +159,9 @@ pub fn decode_ok(payload: &[u8]) -> io::Result<(u64, Diagnosis)> {
     let id = c.u64()?;
     let probability = f64::from_bits(c.u64()?);
     let positive = c.u8()? != 0;
-    let mut times = [Duration::ZERO; 5];
-    for t in &mut times {
-        *t = Duration::from_nanos(c.u64()?);
-    }
+    let t_queue = Duration::from_nanos(c.u64()?);
     c.finish()?;
-    Ok((
-        id,
-        Diagnosis {
-            probability,
-            positive,
-            t_queue: times[0],
-            t_enhance: times[1],
-            t_segment: times[2],
-            t_classify: times[3],
-            t_total: times[4],
-        },
-    ))
+    Ok((id, Diagnosis { probability, positive, t_queue }))
 }
 
 /// Encode a [`Rejected`] payload (structured, so the client reconstructs
@@ -374,17 +358,12 @@ mod tests {
             probability: 0.123456789012345,
             positive: false,
             t_queue: Duration::from_micros(7),
-            t_enhance: Duration::from_millis(11),
-            t_segment: Duration::from_millis(13),
-            t_classify: Duration::from_micros(17),
-            t_total: Duration::from_millis(41),
         };
         let (id, back) = decode_ok(&encode_ok(99, &d)).unwrap();
         assert_eq!(id, 99);
         assert_eq!(back.probability.to_bits(), d.probability.to_bits());
         assert_eq!(back.positive, d.positive);
         assert_eq!(back.t_queue, d.t_queue);
-        assert_eq!(back.t_total, d.t_total);
     }
 
     #[test]
@@ -420,15 +399,7 @@ mod tests {
         assert!(decode_reject(&[]).is_err());
         // A byte past the layout is an error too: a rank-4 volume
         // encodes its first three dims and then every voxel.
-        let d = Diagnosis {
-            probability: 0.5,
-            positive: true,
-            t_queue: Duration::ZERO,
-            t_enhance: Duration::ZERO,
-            t_segment: Duration::ZERO,
-            t_classify: Duration::ZERO,
-            t_total: Duration::ZERO,
-        };
+        let d = Diagnosis { probability: 0.5, positive: true, t_queue: Duration::ZERO };
         let rank4 = ServeRequest::routine(Tensor::zeros([1, 2, 3, 4]));
         let long_ok = [encode_ok(1, &d), vec![0]].concat();
         let long_reject = [encode_reject(&Rejected::ShuttingDown), vec![0]].concat();

@@ -9,6 +9,11 @@
 //! as the paper's framework does (§2), threading the `Scratch` pool
 //! through the stages so steady-state serving reuses volume-sized
 //! buffers instead of allocating per study.
+//!
+//! The worker is the serving stack's one stage timer: each job takes
+//! one clock read when it starts and one after each stage, and both the
+//! job's trace spans and its `serve_stage_ms` samples are differences
+//! of those reads.
 
 use std::io;
 use std::sync::Arc;
@@ -29,25 +34,28 @@ use crate::sync::Doorbell;
 /// Builds one warm `Framework` replica; called once per worker.
 pub type FrameworkFactory = Arc<dyn Fn() -> Framework + Send + Sync>;
 
-/// Run one job through enhance → segment → classify. Each stage's span
-/// starts where the previous one ended — the cursor starts at the
-/// job's dispatch stamp — so the stage spans tile the request exactly
-/// (DESIGN.md §17). Returns the diagnosis and the instant
-/// classification ended, or the failed stage's error.
+/// Run one job through enhance → segment → classify. The job's first
+/// clock read is its start: `serve.batch` runs from the pop stamp to
+/// it, and each stage span starts where the previous one ended, so the
+/// spans tile the request exactly (DESIGN.md §17). Returns the
+/// diagnosis and the stamps `[start, enhance end, segment end,
+/// classify end]`, or the failed stage's error.
 fn run_stages(
     fw: &Framework,
     scratch: &mut Scratch,
     job: &Job,
     threshold: f64,
     metrics: &ServeMetrics,
-) -> Result<(Diagnosis, u64), String> {
-    let t_queue = Duration::from_nanos(metrics.now_ns().saturating_sub(job.submitted));
-    let mut cursor = job.t_dispatch;
+) -> Result<(Diagnosis, [u64; 4]), String> {
+    let reg = metrics.registry();
+    let mut stamps = [metrics.now_ns(); 4];
+    reg.trace_child(job.trace, "serve.batch", job.t_pop, stamps[0]);
+    let mut stage = 0;
     let mut span = |name: &str| {
         let now = metrics.now_ns();
-        metrics.registry().trace_child(job.trace, name, cursor, now);
-        cursor = now;
-        now
+        reg.trace_child(job.trace, name, stamps[stage], now);
+        stage += 1;
+        stamps[stage] = now;
     };
     let enh = fw
         .run_enhance(&job.volume, scratch)
@@ -58,7 +66,9 @@ fn run_stages(
     let d = fw
         .run_classify(seg, threshold, scratch)
         .map_err(|e| format!("classify stage failed: {e}"))?;
-    Ok((d.with_queue_time(t_queue), span("serve.classify")))
+    span("serve.classify");
+    let t_queue = Duration::from_nanos(stamps[0].saturating_sub(job.submitted));
+    Ok((d.with_queue_time(t_queue), stamps))
 }
 
 /// Spawn one worker thread pulling batches from `broker`. Returns its
@@ -82,9 +92,11 @@ pub(crate) fn spawn_pipeline(
             for job in batch {
                 let outcome = run_stages(&fw, &mut scratch, &job, threshold, &metrics);
                 let (t_end, status) = match &outcome {
-                    Ok((d, t_end)) => {
-                        metrics.on_complete(d, job.deadline.is_some_and(|dl| *t_end > dl));
-                        (*t_end, SpanStatus::Ok)
+                    Ok((_, stamps)) => {
+                        let t_end = stamps[3];
+                        let missed = job.deadline.is_some_and(|dl| t_end > dl);
+                        metrics.on_complete(job.submitted, stamps, missed);
+                        (t_end, SpanStatus::Ok)
                     }
                     Err(_) => {
                         metrics.on_failure();

@@ -46,26 +46,13 @@ fn serve_smoke_64_requests_zero_lost_batched_metrics() {
     // so the histogram rows of the exported CSV carry no wall-clock
     // noise and the file is byte-stable run over run.
     let deterministic = deterministic_mode();
-    let frozen: Option<Arc<dyn Clock>> = deterministic.then(|| {
-        let c: Arc<dyn Clock> = Arc::new(ManualClock::new());
-        c
-    });
-    let metrics = match &frozen {
-        Some(clock) => {
-            ServeMetrics::with_registry(Arc::new(Registry::with_clock(Arc::clone(clock))))
-        }
-        None => ServeMetrics::new(),
+    let metrics = if deterministic {
+        let frozen: Arc<dyn Clock> = Arc::new(ManualClock::new());
+        ServeMetrics::with_registry(Arc::new(Registry::with_clock(frozen)))
+    } else {
+        ServeMetrics::new()
     };
-    // The replicas' stage timers must read the same frozen clock as the
-    // registry, or enhance/segment/classify rows pick up wall-clock
-    // noise through the process-global clock.
-    let factory = move || {
-        let fw = Framework::untrained_reduced(SEED);
-        match &frozen {
-            Some(clock) => fw.with_clock(Arc::clone(clock)),
-            None => fw,
-        }
-    };
+    let factory = || Framework::untrained_reduced(SEED);
     let server = Server::start_with_metrics(cfg, factory, metrics).expect("server starts");
     let client = server.client();
 

@@ -1,11 +1,12 @@
 //! End-to-end distributed-tracing tests (DESIGN.md §17), wired into
 //! `scripts/tier1.sh` as the request-tracing stage.
 //!
-//! The single-node test injects an auto-tick [`ManualClock`] everywhere
-//! (registry and framework replicas), so one request's span tree is
-//! exactly assertable: parentage, stage-span tiling, and the
-//! critical-path invariant that segments sum to the end-to-end latency
-//! with no residual.
+//! The single-node tests inject an auto-tick [`ManualClock`] into the
+//! server's registry — the clock every serving timestamp reads — so a
+//! request's span tree is exactly assertable: parentage, stage-span
+//! tiling, and the critical-path invariant that segments sum to the
+//! end-to-end latency with no residual. The batched test also checks
+//! that every `serve_stage_ms` sample is the duration of its span.
 //!
 //! The cluster test runs requests through a 3-worker cluster and
 //! asserts the stitched tree — router root → dispatch span → grafted
@@ -14,13 +15,14 @@
 //! than dropping it. Under `CC19_OBS_DETERMINISTIC=1` (how tier-1 runs
 //! this file, twice) both phases' trees are byte-identical run over
 //! run and are written to `results/trace_smoke.jsonl` for the
-//! byte-compare; without the flag the worker registries and framework
-//! clocks carry wall-clock noise, so no artifact is written.
+//! byte-compare; without the flag the worker registries carry
+//! wall-clock noise, so no artifact is written.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 use cc19_dist::{FaultConfig, FaultPlan};
 use cc19_obs::trace::{self, SpanRecord};
@@ -52,17 +54,21 @@ fn sorted_spans(reg: &Registry) -> Vec<SpanRecord> {
     spans
 }
 
-/// One sequential request through a single-node server whose registry
-/// and framework replicas all read the same auto-tick manual clock.
-fn run_single_node() -> (String, Vec<SpanRecord>) {
+/// A registry on an auto-tick manual clock.
+fn ticking_registry() -> Arc<Registry> {
     let clock: Arc<dyn Clock> = Arc::new(ManualClock::with_tick(TICK));
-    let reg = Arc::new(Registry::with_clock(Arc::clone(&clock)));
+    Arc::new(Registry::with_clock(clock))
+}
+
+/// One sequential request through a single-node server whose registry
+/// reads an auto-tick manual clock.
+fn run_single_node() -> (String, Vec<SpanRecord>) {
+    let reg = ticking_registry();
     let metrics = ServeMetrics::with_registry(Arc::clone(&reg));
     let cfg = ServerCfg::default();
-    let fw_clock = Arc::clone(&clock);
     let server = Server::start_with_metrics(
         cfg,
-        move || Framework::untrained_reduced(MODEL_SEED).with_clock(Arc::clone(&fw_clock)),
+        || Framework::untrained_reduced(MODEL_SEED),
         metrics,
     )
     .expect("server starts");
@@ -111,6 +117,68 @@ fn single_node_span_tree_tiles_and_reruns_byte_identical() {
     // export deterministic: a fresh identical run is byte-identical.
     let (again, _) = run_single_node();
     assert_eq!(jsonl, again, "single-node trace export must be reproducible");
+}
+
+/// Two requests popped as one batch by one worker: the second job's
+/// stage spans start after the first job's end (its wait behind the
+/// first job is `serve.batch`), both trees still tile, and every
+/// `serve_stage_ms` sample is exactly the duration of its span.
+#[test]
+fn batched_jobs_time_their_own_stages_and_histograms_match_spans() {
+    let reg = ticking_registry();
+    let metrics = ServeMetrics::with_registry(Arc::clone(&reg));
+    let cfg = ServerCfg { pipelines: 1, start_paused: true, ..ServerCfg::default() };
+    let server =
+        Server::start_with_metrics(cfg, || Framework::untrained_reduced(MODEL_SEED), metrics)
+            .expect("server starts");
+    let client = server.client();
+    let pendings: Vec<_> = (1..=2)
+        .map(|seed| client.submit(ServeRequest::routine(volume(seed))).expect("admission"))
+        .collect();
+    server.resume();
+    let diagnoses: Vec<_> =
+        pendings.into_iter().map(|p| p.wait().expect("reply").result.expect("diagnosis")).collect();
+    let metrics = server.shutdown();
+    assert_eq!(metrics.snapshot().max_batch, 2, "both requests must pop as one batch");
+
+    let spans = sorted_spans(&reg);
+    let roots: Vec<&SpanRecord> = spans.iter().filter(|r| r.parent_id == 0).collect();
+    assert_eq!(roots.len(), 2);
+    let span = |root: &SpanRecord, path: &str| -> SpanRecord {
+        let found: Vec<&SpanRecord> = children(&spans, root.trace_id, root.span_id)
+            .into_iter()
+            .filter(|r| r.path == path)
+            .collect();
+        assert_eq!(found.len(), 1, "trace {} must carry one {path} span", root.trace_id);
+        found[0].clone()
+    };
+    assert!(
+        span(roots[1], "serve.enhance").start_ns >= span(roots[0], "serve.classify").end_ns,
+        "the second job's enhance span must not contain the first job's stages"
+    );
+
+    let histograms = reg.snapshot().histograms;
+    let samples = |stage: &str| {
+        let key = format!("serve_stage_ms{{stage=\"{stage}\"}}");
+        let h = histograms.iter().find(|h| h.key == key).expect("stage histogram registered");
+        h.value.samples().to_vec()
+    };
+    let ms = |from: u64, to: u64| (to - from) as f64 / 1e6;
+    for (k, root) in roots.iter().enumerate() {
+        let (e2e, segs) = trace::trace_segments(&spans, root.trace_id).expect("completed trace");
+        assert_eq!(segs.values().sum::<u64>(), e2e);
+        assert!(!segs.contains_key("other"), "tiled stage spans must leave no residual: {segs:?}");
+
+        let (queue, batch) = (span(root, "serve.queue"), span(root, "serve.batch"));
+        let (enhance, classify) = (span(root, "serve.enhance"), span(root, "serve.classify"));
+        assert_eq!(diagnoses[k].t_queue, Duration::from_nanos(batch.end_ns - queue.start_ns));
+        assert_eq!(samples("queue")[k], ms(queue.start_ns, batch.end_ns), "queue sample {k}");
+        for stage in ["enhance", "segment", "classify"] {
+            let s = span(root, &format!("serve.{stage}"));
+            assert_eq!(samples(stage)[k], ms(s.start_ns, s.end_ns), "{stage} sample {k}");
+        }
+        assert_eq!(samples("total")[k], ms(enhance.start_ns, classify.end_ns), "total sample {k}");
+    }
 }
 
 /// Requests through a 3-worker cluster against a router registry on an

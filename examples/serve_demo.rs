@@ -71,13 +71,16 @@ fn main() {
         priority: Priority::Stat,
         deadline: Some(Duration::from_secs(30)),
     };
+    let clock = cc19_obs::global_clock();
+    let t0 = clock.now_ns();
     let (id, d) = remote.diagnose(&req).expect("transport").expect("admission");
+    let round_trip = Duration::from_nanos(clock.now_ns().saturating_sub(t0));
     println!(
-        "tcp study id={id}: p={:.3} positive={} (queue {:?}, total {:?})",
+        "tcp study id={id}: p={:.3} positive={} (queue {:?}, round trip {:?})",
         d.probability,
         d.positive,
         d.t_queue,
-        d.t_total
+        round_trip
     );
 
     let served: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();

@@ -160,11 +160,15 @@ run_twice "REQUEST TRACING" results/trace_smoke.jsonl \
     env CC19_OBS_DETERMINISTIC=1 cargo test -q -p cc19-serve --test trace
 
 echo
-echo "=== tier-1: no timer or deleted serve knob on the serve request path ==="
+echo "=== tier-1: no wait timer, deleted serve knob, second stage timer or second span system ==="
 # The batching window, the router/node polling intervals and the
 # enhancement slice-batching mode are deleted knobs (DESIGN.md §10, §14),
-# not defaults to tune back in.
-if grep -rnE 'max_delay|CMD_WAIT|BUSY_POLL|enhance_mode|EnhanceMode' crates/serve/src crates/pipeline/src; then echo "tier-1: A BATCH WINDOW, POLL INTERVAL OR DELETED SERVE KNOB IS BACK UNDER crates/serve/src OR crates/pipeline/src"; status=1; fi
+# not defaults to tune back in. The serve worker's trace spans are the
+# only stage timer (DESIGN.md §12, §17): the Framework's clock and
+# Diagnosis's stage durations stay deleted, and so does cc19-obs's
+# second span system.
+if grep -rnE 'max_delay|CMD_WAIT|BUSY_POLL|enhance_mode|EnhanceMode|t_enhance|t_segment|t_classify|\bt_total\b|started_ns|fn with_clock' crates/serve/src crates/pipeline/src; then echo "tier-1: A BATCH WINDOW, POLL INTERVAL, DELETED SERVE KNOB OR SECOND STAGE TIMER IS BACK UNDER crates/serve/src OR crates/pipeline/src"; status=1; fi
+if grep -rnE 'span::enter|span!\(|SpanStore|span_stats|trace_jsonl' crates examples; then echo "tier-1: THE DELETED cc19-obs SPAN SYSTEM IS BACK UNDER crates/ OR examples/"; status=1; fi
 
 echo
 echo "=== tier-1: static analysis ==="
