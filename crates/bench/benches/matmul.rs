@@ -56,9 +56,10 @@ fn bench_square_1024(c: &mut Criterion) {
 }
 
 /// The im2col GEMM of a stride-1 5×5 DDnet conv layer at 512²:
-/// `cols (N*OH*OW, Cin*25) × wmat (Cout, Cin*25)ᵀ`, exactly the
-/// `matmul_nt` call `gemm_conv::conv2d_gemm` issues. 16/64/80 channels
-/// cover the first conv, the dense-block interior and the block output.
+/// `cols (N*OH*OW, Cin*25) × wmat (Cout, Cin*25)ᵀ`, the product
+/// `gemm_conv::conv2d_gemm` computes, here as one call rather than the
+/// cache-sized row panels it issues. 16/64/80 channels cover the first
+/// conv, the dense-block interior and the block output.
 fn bench_im2col_512(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul_im2col_512");
     group.sample_size(3);

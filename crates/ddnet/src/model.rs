@@ -418,9 +418,12 @@ impl Ddnet {
     }
 
     /// Enhance a `(B, H, W)` stack of slices in **one** batched forward
-    /// pass — the GEMM-friendly path for many slices at once: the conv
-    /// lowerings see `B×OH×OW` output rows instead of `OH×OW`, so packing
-    /// and tiling amortize across slices.
+    /// pass: one call per layer for the whole stack instead of one per
+    /// slice. The GEMM convolution lowers each sample in its own panels of
+    /// output positions (`cc19_tensor::gemm_conv::panel_rows`), so its
+    /// im2col fill, packing and tiling cost about as much per slice either way;
+    /// the stack saves per-call work only (dispatch, output allocation,
+    /// instrumentation).
     ///
     /// `backend` governs the convolutions only; deconvolutions always run
     /// the gather microkernel one sample at a time, and batch-norm

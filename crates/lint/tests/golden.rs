@@ -183,6 +183,9 @@ fn unsafe_opt_outs_are_pinned_to_the_simd_files() {
         // #[global_allocator] counting shim for the diagnose ratchet
         // (DESIGN.md §16): GlobalAlloc is an unsafe trait.
         "crates/pipeline/tests/alloc_ratchet.rs".to_string(),
+        // #[global_allocator] largest-request shim for the forward GEMM
+        // convolution's workspace bound (DESIGN.md §8).
+        "crates/tensor/tests/conv_workspace.rs".to_string(),
     ]
     .into_iter()
     .collect();

@@ -61,17 +61,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocation events in one warm `diagnose` of a 32×32×4 study on the
-/// reduced untrained pipeline, measured 2026-10: 5297 events (8194 while
-/// enhancement ran on the autograd tape, 5432 while classification still
-/// did). Both networks are tape-free now; what remains is every op's fresh
-/// output tensor — the evaluator's activations, the GEMM convolution
-/// lowering's staging, the 3D convolution's per-depth staging, and
-/// segmentation — listed site by site in the hot-path inventory of
-/// `results/lint_report.json`. ROADMAP items
-/// 3–4's success metric is zero; until the plan compiler and its arena
-/// land, this documents how far away we are. Lower freely; raise only
-/// with a justification comment.
-const WARM_DIAGNOSE_ALLOC_CEILING: u64 = 5297;
+/// reduced untrained pipeline, measured 2026-10: 1521 events. It was 5297
+/// before convolutions kept their metric handles in a static (every call
+/// used to sort and render its label set under the registry lock), the
+/// forward GEMM convolution lowered one bounded panel at a time instead
+/// of allocating a full im2col matrix, product and relayout, and `sgemm`
+/// allocated its packing pair once per task instead of once per block;
+/// 8194 while enhancement ran on the autograd tape. What remains is
+/// every op's fresh output tensor — the evaluator's activations, the GEMM
+/// convolution's panel workspace, the 3D convolution's per-depth staging,
+/// and segmentation — listed site by site in the hot-path inventory of
+/// `results/lint_report.json`. ROADMAP items 3–4's success metric is
+/// zero; until the plan compiler and its arena land, this documents how
+/// far away we are. Lower freely; raise only with a justification
+/// comment.
+const WARM_DIAGNOSE_ALLOC_CEILING: u64 = 1521;
 
 #[test]
 fn warm_diagnose_allocation_count_is_pinned() {

@@ -35,15 +35,21 @@
 //! * **Ragged tails**: packing zero-pads partial `MR`/`NR` panels, so the
 //!   microkernel always runs full tiles; only the write-back clips to the
 //!   real matrix bounds.
-//! * **Parallelism**: work is split over `MC`-row blocks of C
-//!   (`par_chunks_mut`), which are disjoint contiguous slices — no
-//!   synchronization, no false sharing. Each task packs its own A block;
-//!   the B panel is re-packed per task (cheap: `O(k*n)` per `m/MC` tasks,
-//!   a few percent of the `O(m*n*k)` FLOPs for any non-degenerate shape).
+//! * **Parallelism**: C's rows are split into one `MC`-aligned run per
+//!   rayon thread (`par_chunks_mut`), disjoint contiguous slices — no
+//!   synchronization, no false sharing. Each task allocates one packing
+//!   pair (`ap`, `bp`), `min(k, KC)` deep, and reuses it across its `MC`
+//!   blocks; the B panel is re-packed per block (cheap: `O(k*n)` per
+//!   `m/MC` blocks, a few percent of the `O(m*n*k)` FLOPs for any
+//!   non-degenerate shape).
 //!
 //! Small products (all of `m*n*k` below [`SMALL_THRESHOLD`]) skip packing
 //! entirely and run a simple ikj loop — for tiny operands the packing
-//! traffic would dominate.
+//! traffic would dominate. Each element of C depends only on its row of
+//! A, its column of B, `k` and the path, never on `m` or `n`, so a caller
+//! may split one product into row panels and get the same bits, provided
+//! every panel runs the whole product's [`GemmPath`] (the two paths
+//! round differently once `k > KC`).
 
 use rayon::prelude::*;
 
@@ -95,12 +101,14 @@ fn b_at(b: &[f32], p: usize, j: usize, k: usize, n: usize, trans_b: bool) -> f32
     }
 }
 
-/// Pack `A[rows, deps]` into `ap` as `ceil(mc/MR)` panels, each laid out
-/// `[p * MR + r]` (the microkernel's read order). Rows past the block
-/// are zero-filled so the kernel can always run full `MR`-tiles.
+/// Pack `A[rows, deps]` into `ap` as `ceil(mc/MR)` panels `kcs` deep,
+/// each laid out `[p * MR + r]` (the microkernel's read order). Rows past
+/// the block are zero-filled so the kernel can always run full
+/// `MR`-tiles: every slot the kernel reads is written, whatever `ap` held.
 fn pack_a(
     a: &[f32],
     ap: &mut [f32],
+    kcs: usize,
     rows: std::ops::Range<usize>,
     deps: std::ops::Range<usize>,
     m: usize,
@@ -111,7 +119,7 @@ fn pack_a(
     let (p0, kc) = (deps.start, deps.len());
     let panels = mc.div_ceil(MR);
     for ir in 0..panels {
-        let panel = &mut ap[ir * KC * MR..ir * KC * MR + kc * MR];
+        let panel = &mut ap[ir * kcs * MR..ir * kcs * MR + kc * MR];
         let rows = (mc - ir * MR).min(MR);
         if !trans_a {
             for r in 0..rows {
@@ -136,11 +144,12 @@ fn pack_a(
     }
 }
 
-/// Pack `B[deps, cols]` into `bp` as `ceil(nc/NR)` panels, each laid out
-/// `[p * NR + c]`. Columns past the block are zero-filled.
+/// Pack `B[deps, cols]` into `bp` as `ceil(nc/NR)` panels `kcs` deep,
+/// each laid out `[p * NR + c]`. Columns past the block are zero-filled.
 fn pack_b(
     b: &[f32],
     bp: &mut [f32],
+    kcs: usize,
     deps: std::ops::Range<usize>,
     cols: std::ops::Range<usize>,
     k: usize,
@@ -151,7 +160,7 @@ fn pack_b(
     let (j0, nc) = (cols.start, cols.len());
     let panels = nc.div_ceil(NR);
     for jr in 0..panels {
-        let panel = &mut bp[jr * KC * NR..jr * KC * NR + kc * NR];
+        let panel = &mut bp[jr * kcs * NR..jr * kcs * NR + kc * NR];
         let cols = (nc - jr * NR).min(NR);
         if !trans_b {
             for (p, chunk) in panel.chunks_exact_mut(NR).enumerate() {
@@ -195,12 +204,13 @@ fn microkernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
 }
 
 /// Macro-kernel: multiply one packed A block (`mc x kc`) by one packed B
-/// panel (`kc x nc`), accumulating into the C row-block slice
-/// (`mc` rows of full width `n`, starting at column `j0`).
+/// panel (`kc x nc`), both packed `kcs` deep, accumulating into the C
+/// row-block slice (`mc` rows of full width `n`, starting at column `j0`).
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel(
     ap: &[f32],
     bp: &[f32],
+    kcs: usize,
     c: &mut [f32],
     mc: usize,
     nc: usize,
@@ -209,10 +219,10 @@ fn macro_kernel(
     n: usize,
 ) {
     for ir in 0..mc.div_ceil(MR) {
-        let a_panel = &ap[ir * KC * MR..ir * KC * MR + kc * MR];
+        let a_panel = &ap[ir * kcs * MR..ir * kcs * MR + kc * MR];
         let rows = (mc - ir * MR).min(MR);
         for jr in 0..nc.div_ceil(NR) {
-            let b_panel = &bp[jr * KC * NR..jr * KC * NR + kc * NR];
+            let b_panel = &bp[jr * kcs * NR..jr * kcs * NR + kc * NR];
             let cols = (nc - jr * NR).min(NR);
             let mut acc = [[0.0f32; NR]; MR];
             microkernel(kc, a_panel, b_panel, &mut acc);
@@ -222,6 +232,28 @@ fn macro_kernel(
                     *o += v;
                 }
             }
+        }
+    }
+}
+
+/// Which loop a product runs on, chosen once per logical product by
+/// [`GemmPath::of`]. A caller that splits one product into row panels
+/// passes every panel the whole product's path (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum GemmPath {
+    /// The unpacked ikj / dot-product loop of [`sgemm_small`].
+    Small,
+    /// The blocked, packed core of [`sgemm_packed`].
+    Packed,
+}
+
+impl GemmPath {
+    /// The path [`sgemm`] takes for an `(m, k) x (k, n)` product.
+    pub(crate) fn of(m: usize, n: usize, k: usize) -> GemmPath {
+        if m * n * k <= SMALL_THRESHOLD {
+            GemmPath::Small
+        } else {
+            GemmPath::Packed
         }
     }
 }
@@ -247,37 +279,80 @@ pub fn sgemm(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    // Flop accounting + wall time on the caller thread only: rayon
-    // workers must never read the (possibly manual) clock, or the
-    // deterministic bench would depend on scheduling order.
+    observed(2 * m as u64 * n as u64 * k as u64, || {
+        sgemm_on(GemmPath::of(m, n, k), trans_a, trans_b, m, n, k, a, b, c)
+    });
+}
+
+/// Count `flops` into `tensor_gemm_flops_total` and time `product` into
+/// one `tensor_gemm_seconds` sample. Flop accounting and wall time stay
+/// on the caller thread: rayon workers must never read the (possibly
+/// manual) clock, or the deterministic bench would depend on scheduling
+/// order.
+pub(crate) fn observed(flops: u64, product: impl FnOnce()) {
     let obs = crate::obs::gemm();
-    obs.flops.add(2 * m as u64 * n as u64 * k as u64);
+    obs.flops.add(flops);
     let t0 = obs.clock.now_ns();
-    if m * n * k <= SMALL_THRESHOLD {
-        sgemm_small(trans_a, trans_b, m, n, k, a, b, c);
-    } else {
-        // Parallel over disjoint MC-row blocks of C; each task owns its
-        // contiguous output chunk and its own packing scratch.
-        c.par_chunks_mut(MC * n).enumerate().for_each(|(blk, c_chunk)| {
-            let i0 = blk * MC;
-            let mc = c_chunk.len() / n;
-            // cc19-lint: allow(alloc, "KC-bounded packing buffers, one pair per rayon block; plan arenas (ROADMAP 3) will pre-size them")
-            let mut ap = vec![0.0f32; ceil_mul(mc, MR) * KC];
-            // cc19-lint: allow(alloc, "see ap above")
-            let mut bp = vec![0.0f32; KC * ceil_mul(NC.min(n), NR)];
-            for p0 in (0..k).step_by(KC) {
-                let kc = (k - p0).min(KC);
-                pack_a(a, &mut ap, i0..i0 + mc, p0..p0 + kc, m, k, trans_a);
-                for j0 in (0..n).step_by(NC) {
-                    let nc = (n - j0).min(NC);
-                    pack_b(b, &mut bp, p0..p0 + kc, j0..j0 + nc, k, n, trans_b);
-                    macro_kernel(&ap, &bp, c_chunk, mc, nc, kc, j0, n);
-                }
-            }
-        });
-    }
+    product();
     let dt = obs.clock.now_ns().saturating_sub(t0);
     obs.seconds.observe(dt as f64 / 1e9);
+}
+
+/// [`sgemm`]'s arithmetic on a given path, neither checked nor observed:
+/// the caller has checked the lengths and counts the product this call
+/// is a part of.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sgemm_on(
+    path: GemmPath,
+    trans_a: bool,
+    trans_b: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    match path {
+        GemmPath::Small => sgemm_small(trans_a, trans_b, m, n, k, a, b, c),
+        GemmPath::Packed => sgemm_packed(trans_a, trans_b, m, n, k, a, b, c),
+    }
+}
+
+/// The blocked, packed core (module docs) for `m, n, k > 0`. Parallel
+/// over one `MC`-aligned run of C's rows per rayon thread; each task owns
+/// its contiguous output rows and one packing pair.
+fn sgemm_packed(
+    trans_a: bool,
+    trans_b: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    let kcs = k.min(KC);
+    let task_rows = ceil_mul(m.div_ceil(rayon::current_num_threads()), MC);
+    c.par_chunks_mut(task_rows * n).enumerate().for_each(|(task, c_task)| {
+        // cc19-lint: allow(alloc, "one min(k, KC)-deep packing pair per rayon task, reused across its MC blocks; plan arenas (ROADMAP 4) will pre-size them")
+        let mut ap = vec![0.0f32; ceil_mul(MC.min(c_task.len() / n), MR) * kcs];
+        // cc19-lint: allow(alloc, "see ap above")
+        let mut bp = vec![0.0f32; kcs * ceil_mul(NC.min(n), NR)];
+        for (blk, c_chunk) in c_task.chunks_mut(MC * n).enumerate() {
+            let i0 = task * task_rows + blk * MC;
+            let mc = c_chunk.len() / n;
+            for p0 in (0..k).step_by(KC) {
+                let kc = (k - p0).min(KC);
+                pack_a(a, &mut ap, kcs, i0..i0 + mc, p0..p0 + kc, m, k, trans_a);
+                for j0 in (0..n).step_by(NC) {
+                    let nc = (n - j0).min(NC);
+                    pack_b(b, &mut bp, kcs, p0..p0 + kc, j0..j0 + nc, k, n, trans_b);
+                    macro_kernel(&ap, &bp, kcs, c_chunk, mc, nc, kc, j0, n);
+                }
+            }
+        }
+    });
 }
 
 /// Unpacked ikj fallback for tiny products (packing would dominate).
@@ -438,6 +513,47 @@ mod tests {
                 sgemm(ta, tb, m, n, k, &a, &b, &mut got);
                 let tol = 1e-4 * k as f32;
                 assert_close(&got, &want, tol);
+            }
+        }
+    }
+
+    #[test]
+    fn packing_writes_every_slot_the_kernel_reads() {
+        // The packing pair is allocated once per task and never cleared
+        // between blocks, so pack_a / pack_b must write every slot the
+        // microkernel reads: the first kc steps of every MR / NR panel,
+        // zero pads included. Poison both buffers with NaN, pack, and
+        // check those slots and C. Blocks start off the matrix origin, are
+        // ragged against MR / NR, and are shallower than the buffers'
+        // depth (kc < kcs), under every transpose.
+        let mut rng = Xorshift::new(5);
+        for &(mc, nc, kc, kcs) in &[(MC, 3 * NR, KC, KC), (13, 11, 7, 9), (MC - 3, 5, 100, KC), (1, 1, 1, 1)] {
+            let (i0, p0, j0) = (3, 5, 2);
+            let (m, n, k) = (i0 + mc + 1, j0 + nc + 4, p0 + kc + 2);
+            let a = rand_vec(&mut rng, m * k);
+            let b = rand_vec(&mut rng, k * n);
+            for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+                let mut ap = vec![f32::NAN; ceil_mul(mc, MR) * kcs];
+                let mut bp = vec![f32::NAN; kcs * ceil_mul(nc, NR)];
+                pack_a(&a, &mut ap, kcs, i0..i0 + mc, p0..p0 + kc, m, k, ta);
+                pack_b(&b, &mut bp, kcs, p0..p0 + kc, j0..j0 + nc, k, n, tb);
+                let read = |buf: &[f32], lanes: usize, panels: usize| {
+                    (0..panels).all(|q| buf[q * kcs * lanes..][..kc * lanes].iter().all(|v| !v.is_nan()))
+                };
+                assert!(read(&ap, MR, mc.div_ceil(MR)), "pack_a left a slot unwritten: {mc}x{kc} in {kcs}");
+                assert!(read(&bp, NR, nc.div_ceil(NR)), "pack_b left a slot unwritten: {nc}x{kc} in {kcs}");
+                let mut got = vec![0.0f32; mc * n];
+                macro_kernel(&ap, &bp, kcs, &mut got, mc, nc, kc, j0, n);
+                let mut want = vec![0.0f32; mc * n];
+                for i in 0..mc {
+                    for j in 0..nc {
+                        want[i * n + j0 + j] = (p0..p0 + kc)
+                            .map(|p| a_at(&a, i0 + i, p, m, k, ta) * b_at(&b, p, j0 + j, k, n, tb))
+                            .sum();
+                    }
+                }
+                assert!(got.iter().all(|v| v.is_finite()), "a poisoned slot reached C: {mc}x{nc}x{kc} in {kcs}");
+                assert_close(&got, &want, 1e-4 * kc as f32);
             }
         }
     }

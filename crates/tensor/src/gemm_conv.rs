@@ -16,10 +16,24 @@
 //!
 //! * conv2d weight `(Cout, Cin, K, K)`; transposed-conv weight
 //!   `(Cin, Cout, K, K)`;
-//! * im2col matrix: `(N*OH*OW, Cin*K*K)` — one row per output position;
+//! * im2col row: the `Cin*K*K` receptive field of one output position.
+//!   The forward pass lowers one *panel* of a sample's output positions
+//!   at a time (at most `PANEL_BYTES` of rows, see [`panel_rows`]),
+//!   multiplies it by the weight into a `(rows, Cout)` block and writes
+//!   that block straight into the NCHW output, bias added in the same
+//!   pass — its workspace is bounded by the budget, not by the plane.
+//!   The backward and transposed lowerings still build the full
+//!   `(N*OH*OW, Cin*K*K)` matrix ([`im2col`]);
 //! * every GEMM against a transposed operand goes through
-//!   [`crate::gemm::matmul_tn`] / [`crate::gemm::matmul_nt`], so no
-//!   transpose is ever materialized.
+//!   [`crate::gemm::matmul_tn`] / [`crate::gemm::matmul_nt`] (or the
+//!   engine's `trans_b` flag directly), so no transpose is ever
+//!   materialized.
+//!
+//! Panelling does not change a bit of the output: each output element
+//! depends only on its im2col row, the weight and the GEMM path, and
+//! every panel runs the path the whole `(N*OH*OW, Cout, Cin*K*K)`
+//! product would take (`GemmPath::of`); the convolution still makes one
+//! `tensor_gemm_*` observation with that product's FLOP count.
 //!
 //! The backward pass is two GEMMs plus one col2im:
 //!
@@ -36,12 +50,72 @@
 use rayon::prelude::*;
 
 use crate::conv::Conv2dSpec;
-use crate::gemm::{matmul, matmul_nt, matmul_tn};
+use crate::gemm::{matmul, matmul_nt, matmul_tn, observed, sgemm_on, GemmPath};
 use crate::{Result, Tensor, TensorError};
+
+/// Byte budget of one forward panel's im2col block: L2-sized, so the
+/// block the panel fill writes is still cached when the GEMM packs it.
+/// Picked by the panel sweep in EXPERIMENTS.md (§ "Bounded-workspace
+/// GEMM convolution").
+const PANEL_BYTES: usize = 256 * 1024;
+
+/// Output positions per forward panel for a reduction depth of `ckk`
+/// (`Cin*K*K`): the most whole `MC`-row GEMM blocks whose im2col rows fit
+/// `PANEL_BYTES` (256 KiB), and at least one block when a single one
+/// does not.
+pub fn panel_rows(ckk: usize) -> usize {
+    let mc = crate::gemm::MC;
+    (PANEL_BYTES / (4 * ckk.max(1)) / mc).max(1) * mc
+}
+
+/// Geometry of one im2col lowering: input planes `(H, W)`, a square `K`
+/// filter, its stride and padding, and the output grid's width `OW`.
+struct Lowering {
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    ow: usize,
+}
+
+impl Lowering {
+    /// Write the receptive field of output position `pos` (row-major in
+    /// `(OH, OW)`) of one sample `x` into `row` (`C*K*K` long). Each
+    /// kernel row's in-bounds taps are one contiguous run of an input
+    /// row, copied as a slice; taps in the padding are zero.
+    fn fill_row(&self, x: &[f32], pos: usize, row: &mut [f32]) {
+        let (h, w, k) = (self.h as isize, self.w, self.k);
+        let (oy, ox) = (pos / self.ow, pos % self.ow);
+        let ix0 = (ox * self.stride) as isize - self.pad as isize;
+        // kx in lo..hi keeps ix0 + kx inside 0..w.
+        let lo = (-ix0).clamp(0, k as isize) as usize;
+        let hi = (w as isize - ix0).clamp(lo as isize, k as isize) as usize;
+        for (ci, field) in row.chunks_exact_mut(k * k).enumerate() {
+            let plane = &x[ci * self.h * w..(ci + 1) * self.h * w];
+            for (ky, dst) in field.chunks_exact_mut(k).enumerate() {
+                let iy = (oy * self.stride + ky) as isize - self.pad as isize;
+                if iy < 0 || iy >= h {
+                    dst.fill(0.0);
+                    continue;
+                }
+                let src = &plane[iy as usize * w..(iy as usize + 1) * w];
+                dst[..lo].fill(0.0);
+                if lo < hi {
+                    let start = (ix0 + lo as isize) as usize;
+                    dst[lo..hi].copy_from_slice(&src[start..start + hi - lo]);
+                }
+                dst[hi..].fill(0.0);
+            }
+        }
+    }
+}
 
 /// Lower a `(N, C, H, W)` input into the im2col matrix of shape
 /// `(N * OH * OW, C * K * K)`: each row is the receptive field of one
 /// output position. Parallel over output rows (disjoint output slices).
+/// The backward and transposed lowerings use it; the forward pass fills
+/// the same rows one panel at a time.
 pub fn im2col(input: &Tensor, k: usize, spec: Conv2dSpec) -> Result<Tensor> {
     if input.shape().rank() != 4 {
         return Err(TensorError::Incompatible("im2col expects rank-4 NCHW input".into()));
@@ -56,28 +130,10 @@ pub fn im2col(input: &Tensor, k: usize, spec: Conv2dSpec) -> Result<Tensor> {
         return Ok(out);
     }
     let ind = input.data();
-    let p = spec.padding as isize;
-
+    let g = Lowering { h, w, k, stride: spec.stride, pad: spec.padding, ow };
     out.data_mut().par_chunks_mut(cols).enumerate().for_each(|(row_idx, row)| {
-        let ox = row_idx % ow;
-        let oy = (row_idx / ow) % oh;
         let ni = row_idx / (oh * ow);
-        for ci in 0..c {
-            let ibase = (ni * c + ci) * h * w;
-            for ky in 0..k {
-                let iy = (oy * spec.stride + ky) as isize - p;
-                let dst = &mut row[ci * k * k + ky * k..ci * k * k + ky * k + k];
-                if iy < 0 || iy >= h as isize {
-                    dst.fill(0.0);
-                    continue;
-                }
-                let src_row = &ind[ibase + iy as usize * w..ibase + iy as usize * w + w];
-                for (kx, o) in dst.iter_mut().enumerate() {
-                    let ix = (ox * spec.stride + kx) as isize - p;
-                    *o = if ix >= 0 && ix < w as isize { src_row[ix as usize] } else { 0.0 };
-                }
-            }
-        }
+        g.fill_row(&ind[ni * c * h * w..(ni + 1) * c * h * w], row_idx % (oh * ow), row);
     });
     Ok(out)
 }
@@ -230,8 +286,11 @@ fn channel_sums(grad_out: &Tensor, cout: usize) -> Tensor {
 }
 
 /// GEMM-backed convolution, same semantics as [`crate::conv::conv2d`]
-/// (square kernels): `im2col` then one `(N*OH*OW, C*K*K) x (C*K*K, Cout)`
-/// product against the reshaped weight.
+/// (square kernels): per sample, one panel of output positions at a
+/// time ([`panel_rows`]), the panel's im2col rows times the weight
+/// reshaped to `(Cout, C*K*K)`, written into the NCHW output with the
+/// bias added. Bit-identical to lowering the whole batch with
+/// [`im2col`] and one `(N*OH*OW, C*K*K) x (C*K*K, Cout)` product.
 pub fn conv2d_gemm(
     input: &Tensor,
     weight: &Tensor,
@@ -240,6 +299,9 @@ pub fn conv2d_gemm(
 ) -> Result<Tensor> {
     if weight.shape().rank() != 4 {
         return Err(TensorError::Incompatible("conv2d_gemm expects rank-4 weight".into()));
+    }
+    if input.shape().rank() != 4 {
+        return Err(TensorError::Incompatible("conv2d_gemm expects rank-4 NCHW input".into()));
     }
     let wd = weight.dims();
     let (cout, cin, kh, kw) = (wd[0], wd[1], wd[2], wd[3]);
@@ -253,6 +315,12 @@ pub fn conv2d_gemm(
             d[1]
         )));
     }
+    if let Some(b) = bias.filter(|b| b.numel() != cout) {
+        return Err(TensorError::Incompatible(format!(
+            "bias has {} elements, want {cout}",
+            b.numel()
+        )));
+    }
     let (n, h, w) = (d[0], d[2], d[3]);
     let oh = spec.out_extent(h, kh);
     let ow = spec.out_extent(w, kw);
@@ -262,15 +330,40 @@ pub fn conv2d_gemm(
         2 * crate::obs::macs(&[n, cout, cin, kh, kw, oh, ow]),
     );
 
-    // (N*OH*OW, C*K*K) x (Cout, C*K*K)^T = (N*OH*OW, Cout); the weight
-    // transpose is folded into GEMM packing, not materialized.
-    let cols = im2col(input, kh, spec)?;
-    let wmat = weight.reshape([cout, cin * kh * kw])?;
-    let prod = matmul_nt(&cols, &wmat)?;
-
-    let mut out = rows_to_nchw(&prod, n, cout, oh, ow)?;
-    if let Some(b) = bias {
-        add_bias_nchw(&mut out, b, cout)?;
+    let (ckk, ohw) = (cin * kh * kw, oh * ow);
+    let mut out = Tensor::zeros([n, cout, oh, ow]);
+    let path = GemmPath::of(n * ohw, cout, ckk);
+    let rows = panel_rows(ckk).min(ohw);
+    let mut cols = vec![0.0f32; rows * ckk];
+    let mut prod = vec![0.0f32; rows * cout];
+    let g = Lowering { h, w, k: kh, stride: spec.stride, pad: spec.padding, ow };
+    let (x, wmat, bias) = (input.data(), weight.data(), bias.map(Tensor::data));
+    let od = out.data_mut();
+    let mut lower = || {
+        for ni in 0..n {
+            let sample = &x[ni * cin * h * w..(ni + 1) * cin * h * w];
+            let planes = &mut od[ni * cout * ohw..(ni + 1) * cout * ohw];
+            for r0 in (0..ohw).step_by(rows.max(1)) {
+                let len = (ohw - r0).min(rows);
+                let (cols, prod) = (&mut cols[..len * ckk], &mut prod[..len * cout]);
+                cols.par_chunks_mut(ckk.max(1)).enumerate().for_each(|(t, row)| g.fill_row(sample, r0 + t, row));
+                // (len, C*K*K) x (Cout, C*K*K)^T: the weight transpose is
+                // folded into GEMM packing, not materialized.
+                prod.fill(0.0);
+                sgemm_on(path, false, true, len, cout, ckk, cols, wmat, prod);
+                planes.par_chunks_mut(ohw).enumerate().for_each(|(co, plane)| {
+                    let (dst, src) = (&mut plane[r0..r0 + len], prod[co..].iter().step_by(cout));
+                    match bias {
+                        Some(b) => dst.iter_mut().zip(src).for_each(|(o, &v)| *o = v + b[co]),
+                        None => dst.iter_mut().zip(src).for_each(|(o, &v)| *o = v),
+                    }
+                });
+            }
+        }
+    };
+    match 2 * crate::obs::macs(&[n, ohw, cout, ckk]) {
+        0 => lower(),
+        flops => observed(flops, lower),
     }
     Ok(out)
 }

@@ -1,13 +1,14 @@
 //! Cached `cc19-obs` handles for the tensor hot paths.
 //!
-//! GEMM runs thousands of times per training step, so its handles are
-//! `OnceLock`-cached and the timer reads the clock exactly twice per
-//! call, on the caller thread (rayon workers never touch the clock —
-//! that keeps clock reads causally ordered under the deterministic
-//! manual clock). Conv entries are chunky enough that a per-call
-//! registry lookup is noise.
+//! GEMM runs thousands of times per training step and a warm
+//! `diagnose` makes over a hundred convolution calls, so both keep their
+//! handles in statics: a registry lookup sorts and renders the label set
+//! and takes the registry lock, a few dozen allocation events per call.
+//! Timers read the clock exactly twice per call, on the caller thread
+//! (rayon workers never touch the clock — that keeps clock reads
+//! causally ordered under the deterministic manual clock).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use cc19_obs::{Clock, Counter, HistogramHandle, Timer};
 
@@ -39,6 +40,14 @@ pub fn macs(dims: &[usize]) -> u64 {
     dims.iter().map(|&x| x as u64).product()
 }
 
+/// The cached handles of one `(op, pass)` pair of [`conv_call`].
+struct ConvObs {
+    op: &'static str,
+    pass: &'static str,
+    flops: Counter,
+    seconds: HistogramHandle,
+}
+
 /// Count `flops` into `tensor_conv_flops_total{op,pass}` and start a
 /// `tensor_conv_seconds{op,pass}` timer; dropping the guard observes the
 /// elapsed seconds (two clock reads per call, on the caller thread).
@@ -46,9 +55,28 @@ pub fn macs(dims: &[usize]) -> u64 {
 /// input- and weight-gradient loops each re-run the MACs). Public so the
 /// kernel-ladder deconvolutions and 3D convolutions `cc19_nn::exec` runs
 /// at inference are counted beside the tensor kernels they replace.
+/// Each pair registers once per process; later calls allocate nothing.
 pub fn conv_call(op: &'static str, pass: &'static str, flops: u64) -> Timer {
+    // cc19-lint: allow(alloc, "const-constructed empty Vec; it grows once per (op, pass) pair, at its first call")
+    static CACHE: Mutex<Vec<ConvObs>> = Mutex::new(Vec::new());
     let reg = cc19_obs::global();
-    let labels = [("op", op), ("pass", pass)];
-    reg.counter_with("tensor_conv_flops_total", &labels).add(flops);
-    reg.timer_with("tensor_conv_seconds", &labels)
+    let mut cache = cc19_obs::lock(&CACHE);
+    let i = match cache.iter().position(|h| h.op == op && h.pass == pass) {
+        Some(i) => i,
+        None => {
+            let labels = [("op", op), ("pass", pass)];
+            cache.push(ConvObs {
+                op,
+                pass,
+                flops: reg.counter_with("tensor_conv_flops_total", &labels),
+                seconds: reg.histogram_with("tensor_conv_seconds", &labels),
+            });
+            cache.len() - 1
+        }
+    };
+    cache[i].flops.add(flops);
+    // cc19-lint: allow(alloc, "HistogramHandle is an Arc: the clone bumps a reference count")
+    let seconds = cache[i].seconds.clone();
+    drop(cache);
+    Timer::start(reg.clock(), seconds)
 }

@@ -70,14 +70,20 @@ if [ "$status" -eq 0 ]; then
 fi
 
 echo
-echo "=== tier-1: kernel suite in a release build (entry guards) ==="
+echo "=== tier-1: kernel and tensor suites in a release build (entry guards, 512² panels) ==="
 # conv2d_with / deconv2d_with / conv3d_with assert their buffer lengths
 # before the AVX2 microkernel's unchecked loads (DESIGN.md §13). The
 # plain `cargo test` above is a debug build; this stage runs the
 # cc19-kernels suite, entry_guards.rs included, with release codegen.
+# It also runs the cc19-tensor suite, whose 512² cases — the panelled
+# GEMM convolution's bit parity with the full lowering (panel_conv.rs)
+# and its workspace bound (conv_workspace.rs) — and the 512² enhance
+# digest (computecovid19's digests.rs) are ignored in the debug build,
+# which keeps its cases at 128² or smaller (DESIGN.md §8).
 if [ "$status" -eq 0 ]; then
-    if ! cargo test --release -q -p cc19-kernels; then
-        echo "tier-1: KERNEL SUITE FAILED (--release)"
+    if ! cargo test --release -q -p cc19-kernels -p cc19-tensor \
+        || ! cargo test --release -q -p computecovid19 --test digests; then
+        echo "tier-1: KERNEL/TENSOR SUITE FAILED (--release)"
         status=1
     fi
 fi
