@@ -13,7 +13,6 @@ use cc19_nn::graph::{Graph, Var};
 use cc19_nn::init::Init;
 use cc19_nn::layers::{BatchNorm, BnForward, Conv3d, Linear};
 use cc19_nn::param::ParamStore;
-use cc19_nn::ConvBackend;
 use cc19_tensor::conv::Conv2dSpec;
 use cc19_tensor::pool::PoolSpec;
 use cc19_tensor::rng::Xorshift;
@@ -226,7 +225,7 @@ impl DenseNet3d {
         let d = volume.dims();
         let x = volume.reshape([1, 1, d[0], d[1], d[2]])?;
         self.check_input(x.dims())?;
-        let mut ex = Eval { bn: BnForward::RunningEval, backend: ConvBackend::Auto };
+        let mut ex = Eval { bn: BnForward::RunningEval };
         Ok(self.run(&mut ex, Rc::new(x))?.data()[0])
     }
 

@@ -10,7 +10,6 @@ use cc19_nn::init::Init;
 use cc19_nn::layers::{BatchNorm, BnForward, Conv2d, ConvTranspose2d};
 use cc19_nn::param::ParamStore;
 use cc19_tensor::conv::Conv2dSpec;
-use cc19_tensor::conv_backend::ConvBackend;
 use cc19_tensor::pool::PoolSpec;
 use cc19_tensor::rng::Xorshift;
 use cc19_tensor::{Tensor, TensorError};
@@ -383,19 +382,19 @@ impl Ddnet {
     }
 
     /// The tape-free evaluator: convolutions through
-    /// `conv2d_dispatch(backend)`, deconvolutions on the kernel ladder's
+    /// `conv2d_dispatch(Auto)`, deconvolutions on the kernel ladder's
     /// gather microkernel, batch-norm with per-sample statistics in
-    /// instance-norm configurations (so no sample sees its batch-mates).
-    fn eval(&self, backend: ConvBackend) -> Eval {
-        Eval { bn: self.bn_mode(false), backend }
+    /// instance-norm configurations.
+    fn eval(&self) -> Eval {
+        Eval { bn: self.bn_mode(false) }
     }
 
-    /// Tape-free forward on `ex` of an `(H, W)` image (`rank` 2) or a
-    /// `(B, H, W)` stack (`rank` 3), run as a `(B, 1, H, W)` batch.
-    fn infer<E: Exec<V = Rc<Tensor>>>(&self, ex: &mut E, x: &Tensor, rank: usize) -> Result<Tensor> {
-        x.shape().expect_rank(rank)?;
-        let d = x.dims();
-        let batch = x.reshape([if rank == 3 { d[0] } else { 1 }, 1, d[rank - 2], d[rank - 1]])?;
+    /// Tape-free forward on `ex` of an `(H, W)` image, run as a
+    /// `(1, 1, H, W)` batch.
+    fn infer<E: Exec<V = Rc<Tensor>>>(&self, ex: &mut E, img: &Tensor) -> Result<Tensor> {
+        img.shape().expect_rank(2)?;
+        let d = img.dims();
+        let batch = img.reshape([1, 1, d[0], d[1]])?;
         check_input(batch.dims())?;
         let mut y = owned(self.run(ex, Rc::new(batch))?);
         y.reshape_in_place(d)?;
@@ -404,7 +403,7 @@ impl Ddnet {
 
     /// Enhance a single `(n, n)` image in `[0,1]` (inference convenience).
     pub fn enhance(&self, img: &Tensor) -> Result<Tensor> {
-        self.infer(&mut self.eval(ConvBackend::Auto), img, 2)
+        self.infer(&mut self.eval(), img)
     }
 
     /// [`Ddnet::enhance`] with every convolution and deconvolution on the
@@ -412,32 +411,9 @@ impl Ddnet {
     /// per kernel class (the measured rows of Tables 4, 5 and 7). The
     /// output matches `enhance` up to the kernels' accumulation order.
     pub fn enhance_timed(&self, img: &Tensor, level: OptLevel) -> Result<(Tensor, KernelTimes)> {
-        let mut ex = Ladder { level, eval: self.eval(ConvBackend::Auto), times: KernelTimes::default() };
-        let y = self.infer(&mut ex, img, 2)?;
+        let mut ex = Ladder { level, eval: self.eval(), times: KernelTimes::default() };
+        let y = self.infer(&mut ex, img)?;
         Ok((y, ex.times))
-    }
-
-    /// Enhance a `(B, H, W)` stack of slices in **one** batched forward
-    /// pass: one call per layer for the whole stack instead of one per
-    /// slice. The GEMM convolution lowers each sample in its own panels of
-    /// output positions (`cc19_tensor::gemm_conv::panel_rows`), so its
-    /// im2col fill, packing and tiling cost about as much per slice either way;
-    /// the stack saves per-call work only (dispatch, output allocation,
-    /// instrumentation).
-    ///
-    /// `backend` governs the convolutions only; deconvolutions always run
-    /// the gather microkernel one sample at a time, and batch-norm
-    /// statistics are per sample. The backend must still be pinned
-    /// explicitly: under [`ConvBackend::Auto`] the shape-aware dispatch
-    /// keys on the *batched* output-position count, so small slices can
-    /// legitimately resolve to a different conv backend than
-    /// [`Ddnet::enhance`] would pick per slice — making the stacked result
-    /// not bit-identical to the per-slice loop. With a forced `Direct` or
-    /// `Gemm` backend, every sample in the batch is an independent row
-    /// range of the same kernel and the outputs match the per-slice path
-    /// bit for bit (tested in `trainer`).
-    pub fn enhance_stack(&self, stack: &Tensor, backend: ConvBackend) -> Result<Tensor> {
-        self.infer(&mut self.eval(backend), stack, 3)
     }
 
     /// Number of *convolution* layers (paper: 37) — 7×7 stem + 2 per dense
@@ -682,8 +658,6 @@ pub(crate) mod tests {
         assert!(shape_err(net.enhance(&Tensor::zeros([1, 32, 32]))));
         assert!(extent_err(net.enhance(&Tensor::zeros([40, 40]))));
         assert!(extent_err(net.enhance(&Tensor::zeros([32, 24]))));
-        assert!(shape_err(net.enhance_stack(&Tensor::zeros([32, 32]), ConvBackend::Direct)));
-        assert!(extent_err(net.enhance_stack(&Tensor::zeros([2, 40, 32]), ConvBackend::Gemm)));
     }
 
     #[test]

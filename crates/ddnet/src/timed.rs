@@ -78,7 +78,6 @@ impl Exec for Ladder {
         let y = timed(&mut self.times.conv, || {
             conv2d_ladder(level, &x, &w.value, b.as_ref().map(|b| &b.value), layer.spec)
         })?;
-        // cc19-lint: allow(alloc, "reached from a cc19-hot seed only by name in the call graph; this executor serves enhance_timed, not a hot path")
         Ok(Rc::new(y))
     }
 
@@ -88,7 +87,6 @@ impl Exec for Ladder {
         let y = timed(&mut self.times.deconv, || {
             deconv_gather(level, &x, &w.value, b.as_ref().map(|b| &b.value), layer.spec)
         })?;
-        // cc19-lint: allow(alloc, "reached from a cc19-hot seed only by name in the call graph; this executor serves enhance_timed, not a hot path")
         Ok(Rc::new(y))
     }
 

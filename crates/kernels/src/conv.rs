@@ -69,7 +69,6 @@ pub fn conv2d(level: OptLevel, input: &[f32], weight: &[f32], bias: &[f32], s: C
 /// When a buffer's length does not match `s`, or the filter is larger
 /// than the padded input. These checks guard the AVX2 microkernel's
 /// unchecked loads and run in release builds too.
-// cc19-hot
 pub fn conv2d_with(
     level: OptLevel,
     simd: SimdLevel,
@@ -135,7 +134,6 @@ impl Conv3dShape {
             let (cin, cout, k) = (input[0], weight[0], weight[2]);
             return Ok(Conv3dShape { cin, cout, d: input[1], h: input[2], w: input[3], k, pad });
         };
-        // cc19-lint: allow(alloc, "cold error branch: formats the rejected shape")
         let m = format!("conv3d: {why}: input {input:?}, weight {weight:?}, stride {stride}, padding {pad}");
         Err(TensorError::Incompatible(m))
     }
@@ -205,7 +203,6 @@ pub fn conv3d_with(
     // one slab the input already is in that order.
     let hw = s.h * s.w;
     let slab = s.cin * hw;
-    // cc19-lint: allow(alloc, "allocating twin: one depth-major copy of the input volume per call")
     let mut depth_major = Vec::new();
     let slabs: &[f32] = if s.cin == 1 || s.d == 1 {
         input
@@ -222,7 +219,6 @@ pub fn conv3d_with(
     let depth = |oz: usize| {
         let (lo, hi) = (s.pad.saturating_sub(oz), s.k.min(s.d + s.pad - oz));
         let kk = s.k * s.k;
-        // cc19-lint: allow(alloc, "allocating twin: the (Cout, taps·Cin, K, K) filter slices of one output depth")
         let mut taps = Vec::with_capacity(s.cout * (hi - lo) * s.cin * kk);
         for co in 0..s.cout {
             for kz in lo..hi {
@@ -240,7 +236,6 @@ pub fn conv3d_with(
         return depth(0);
     }
     let ohw = oh * ow;
-    // cc19-lint: allow(alloc, "allocating twin: the output buffer is the return value")
     let mut out = vec![0.0f32; s.out_len()];
     for oz in 0..od {
         for (co, plane) in depth(oz).chunks_exact(ohw).enumerate() {
@@ -279,7 +274,6 @@ fn conv_avx2(_: &[f32], _: &[f32], _: &[f32], _: ConvShape, _: bool, _: bool) ->
 /// exactly as a line-by-line OpenCL port would do.
 fn conv_baseline(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape) -> Vec<f32> {
     let (oh, ow) = (s.out_h(), s.out_w());
-    // cc19-lint: allow(alloc, "allocating twin: the output buffer is the return value; _into callers reuse theirs")
     let mut out = vec![0.0f32; s.out_len()];
     out.par_chunks_mut(oh * ow).enumerate().for_each(|(co, plane)| {
         for oy in 0..oh {
@@ -312,7 +306,6 @@ fn conv_prefetch(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape, unro
     let (h, w, k, pad, cin) = (s.h, s.w, s.k, s.pad, s.cin);
     let hw = h * w;
     let kk = k * k;
-    // cc19-lint: allow(alloc, "allocating twin: the output buffer is the return value; _into callers reuse theirs")
     let mut out = vec![0.0f32; s.out_len()];
     out.par_chunks_mut(oh * ow).enumerate().for_each(|(co, plane)| {
         let wbase = &weight[co * cin * kk..(co + 1) * cin * kk];

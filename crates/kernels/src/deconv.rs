@@ -110,7 +110,6 @@ fn deconv_scatter(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape) -> 
     let (oh, ow) = (out_h(s), out_w(s));
     let w_ckk = s.cout * s.k * s.k;
     let init = |i: usize| AtomicU32::new(bias[i / (oh * ow)].to_bits());
-    // cc19-lint: allow(alloc, "the Baseline scatter's output; inference runs the gather stages")
     let out: Vec<AtomicU32> = (0..s.cout * oh * ow).map(init).collect();
 
     let atomic_add = |cell: &AtomicU32, v: f32| {
@@ -149,7 +148,6 @@ fn deconv_scatter(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape) -> 
             }
         }
     });
-    // cc19-lint: allow(alloc, "the Baseline scatter's output; inference runs the gather stages")
     out.into_iter().map(|a| f32::from_bits(a.into_inner())).collect()
 }
 
@@ -167,7 +165,6 @@ fn deconv_gather(
     let hw = h * w;
     let kk = k * k;
     let w_ckk = s.cout * kk;
-    // cc19-lint: allow(alloc, "allocating twin: the output buffer is the return value")
     let mut out = vec![0.0f32; s.cout * oh * ow];
     out.par_chunks_mut(oh * ow).enumerate().for_each(|(co, plane)| {
         let b = bias[co];

@@ -82,7 +82,6 @@ fn assert_avx2() {
 
 /// AVX2 convolution (stride 1, zero padding), same contract as the
 /// scalar [`crate::conv::conv2d`] stages.
-// cc19-hot
 pub(crate) fn conv2d_avx2(
     input: &[f32],
     weight: &[f32],
@@ -92,7 +91,6 @@ pub(crate) fn conv2d_avx2(
 ) -> Vec<f32> {
     assert_avx2();
     let (oh, ow) = (s.out_h(), s.out_w());
-    // cc19-lint: allow(alloc, "allocating twin: the output buffer is the return value; _into callers reuse theirs")
     let mut out = vec![0.0f32; s.out_len()];
     out.par_chunks_mut(oh * ow).enumerate().for_each(|(co, plane)| {
         // SAFETY: AVX2+FMA presence asserted above; the buffer lengths
@@ -105,7 +103,6 @@ pub(crate) fn conv2d_avx2(
 
 /// AVX2 gather deconvolution (stride-1 transposed conv), same contract
 /// as the scalar gather stages of [`crate::deconv::deconv2d`].
-// cc19-hot
 pub(crate) fn deconv2d_avx2(
     input: &[f32],
     weight: &[f32],
@@ -115,7 +112,6 @@ pub(crate) fn deconv2d_avx2(
 ) -> Vec<f32> {
     assert_avx2();
     let (oh, ow) = (deconv_out_h(s), deconv_out_w(s));
-    // cc19-lint: allow(alloc, "allocating twin: the output buffer is the return value; _into callers reuse theirs")
     let mut out = vec![0.0f32; s.cout * oh * ow];
     out.par_chunks_mut(oh * ow).enumerate().for_each(|(co, plane)| {
         // SAFETY: as in `conv2d_avx2`.

@@ -2,12 +2,10 @@
 //!
 //! Builds a cross-function view of the workspace from the
 //! [`crate::scanner`] token stream: every function definition (with its
-//! owning `impl` type, body token range, and `// cc19-hot` annotation),
-//! every syntactic call site inside a body, and name-resolved call
-//! edges between them. The lock rules traverse these edges to find
-//! acquisitions and blocking operations reachable while a lock is held;
-//! the hot-path-alloc rule computes the transitive closure of the
-//! `// cc19-hot` seeds.
+//! owning `impl` type and body token range), every syntactic call site
+//! inside a body, and name-resolved call edges between them. The lock
+//! rules traverse these edges to find acquisitions and blocking
+//! operations reachable while a lock is held.
 //!
 //! This is deliberately *not* rustc name resolution. The documented
 //! precision limits (DESIGN.md §16):
@@ -19,10 +17,9 @@
 //!   same-file, then same-crate, then any workspace definition — trait
 //!   dispatch is name identity, so edges over-approximate;
 //! * calls that resolve to nothing (std/vendored-shim functions) carry
-//!   no edge; the alloc rule covers the allocating ones by needle
-//!   instead.
+//!   no edge; the lock model names the blocking ones by needle instead.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::rules::SourceFile;
 use crate::scanner::Token;
@@ -34,11 +31,6 @@ const KEYWORDS: &[&str] = &[
     "pub", "ref", "return", "static", "struct", "super", "trait", "type", "unsafe", "use",
     "where", "while", "yield",
 ];
-
-/// The hot-path seed annotation: a `// cc19-hot` comment on (or directly
-/// above) a function definition marks it as a zero-alloc-goal entry
-/// point for the hot-path-alloc rule.
-pub const HOT_MARKER: &str = "cc19-hot";
 
 /// One syntactic call site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,8 +67,6 @@ pub struct FnDef {
     /// True when the definition is test-only code (`#[cfg(test)]` /
     /// `#[test]` region or a `tests/` file).
     pub in_test: bool,
-    /// True when annotated with [`HOT_MARKER`].
-    pub hot: bool,
     /// Token range `[start, end]` of the body including both braces;
     /// `None` for bodyless trait declarations.
     pub body: Option<(usize, usize)>,
@@ -218,30 +208,6 @@ fn impl_regions(toks: &[Token]) -> Vec<(usize, usize, String)> {
     out
 }
 
-/// Does the function defined at 1-based `fn_line` carry the hot marker?
-/// The marker is a plain `// cc19-hot` line comment directly above the
-/// definition (doc comments merely *mentioning* the marker, as this one
-/// does, do not count — only a line whose comment starts with it).
-fn has_hot_marker(raw_lines: &[&str], fn_line: usize) -> bool {
-    let is_marker = |l: &str| {
-        let t = l.trim_start();
-        t.starts_with(&format!("// {HOT_MARKER}")) || t.starts_with(&format!("//{HOT_MARKER}"))
-    };
-    let mut k = fn_line - 1; // index of the line above the fn line
-    while k > 0 {
-        k -= 1;
-        let t = raw_lines[k].trim_start();
-        if t.starts_with("//") || t.starts_with('#') {
-            if is_marker(raw_lines[k]) {
-                return true;
-            }
-        } else {
-            break;
-        }
-    }
-    false
-}
-
 /// Find the body `{` (or trailing `;`) of the fn whose name token is at
 /// `name_tok`; returns `Some((body_start, body_end))` or `None`.
 fn fn_body(toks: &[Token], name_tok: usize) -> Option<(usize, usize)> {
@@ -352,7 +318,6 @@ impl CallGraph {
     pub fn build(files: &[SourceFile]) -> CallGraph {
         let mut fns: Vec<FnDef> = Vec::new();
         for (fi, f) in files.iter().enumerate() {
-            let raw_lines: Vec<&str> = f.raw.lines().collect();
             let impls = impl_regions(&f.tokens);
             let in_tests_dir = f.path.contains("/tests/") || f.path.contains("/benches/");
             let krate = f
@@ -382,7 +347,6 @@ impl CallGraph {
                         line: toks[i].line,
                         krate: krate.clone(),
                         in_test: toks[i].in_test || in_tests_dir,
-                        hot: has_hot_marker(&raw_lines, toks[i].line),
                         body: fn_body(toks, i + 1),
                         calls: Vec::new(),
                     },
@@ -488,53 +452,6 @@ impl CallGraph {
         }
     }
 
-    /// Indices of `// cc19-hot` non-test seeds, in definition order.
-    pub fn hot_seeds(&self) -> Vec<usize> {
-        (0..self.fns.len()).filter(|&i| self.fns[i].hot && !self.fns[i].in_test).collect()
-    }
-
-    /// BFS closure over resolved edges from `seeds` (test definitions
-    /// excluded). Returns the sorted reached set and a parent map for
-    /// witness chains (seeds map to themselves).
-    pub fn reachable_from(&self, seeds: &[usize]) -> (Vec<usize>, BTreeMap<usize, usize>) {
-        let mut parents: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for &s in seeds {
-            if parents.insert(s, s).is_none() {
-                queue.push_back(s);
-            }
-        }
-        while let Some(f) = queue.pop_front() {
-            for call in &self.fns[f].calls {
-                for &g in &call.resolved {
-                    if !self.fns[g].in_test && !parents.contains_key(&g) {
-                        parents.insert(g, f);
-                        queue.push_back(g);
-                    }
-                }
-            }
-        }
-        let reached: Vec<usize> = parents.keys().copied().collect();
-        (reached, parents)
-    }
-
-    /// Render the witness chain `seed → … → target` as fn names.
-    pub fn chain(&self, parents: &BTreeMap<usize, usize>, target: usize) -> String {
-        let mut names = vec![self.fns[target].name.clone()];
-        let mut cur = target;
-        let mut hops = 0;
-        while let Some(&p) = parents.get(&cur) {
-            if p == cur || hops > 32 {
-                break;
-            }
-            names.push(self.fns[p].name.clone());
-            cur = p;
-            hops += 1;
-        }
-        names.reverse();
-        names.join(" → ")
-    }
-
     /// Total resolved edge count (for report stats).
     pub fn edge_count(&self) -> usize {
         self.fns
@@ -618,27 +535,6 @@ mod tests {
         let src = "fn f() { let v = it.collect::<Vec<f32>>(); }\n";
         let (g, _) = graph(src);
         assert!(g.fns[0].calls.iter().any(|c| c.name == "collect" && c.method));
-    }
-
-    #[test]
-    fn hot_marker_on_or_above_the_fn_line() {
-        let src = "// cc19-hot\npub fn hot1() {}\n\n// cc19-hot\n#[inline]\npub fn hot2() {}\n\npub fn cold() {}\n";
-        let (g, _) = graph(src);
-        let hot: Vec<&str> =
-            g.fns.iter().filter(|d| d.hot).map(|d| d.name.as_str()).collect();
-        assert_eq!(hot, vec!["hot1", "hot2"]);
-    }
-
-    #[test]
-    fn reachability_walks_cross_function_edges() {
-        let src = "// cc19-hot\npub fn entry() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\nfn orphan() {}\n";
-        let (g, _) = graph(src);
-        let seeds = g.hot_seeds();
-        let (reached, parents) = g.reachable_from(&seeds);
-        let names: Vec<&str> = reached.iter().map(|&i| g.fns[i].name.as_str()).collect();
-        assert_eq!(names, vec!["entry", "mid", "leaf"]);
-        let leaf = reached[2];
-        assert_eq!(g.chain(&parents, leaf), "entry → mid → leaf");
     }
 
     #[test]

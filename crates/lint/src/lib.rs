@@ -42,11 +42,10 @@
 //! * **blocking-under-lock** — no channel `recv`, `JoinHandle::join`,
 //!   TCP I/O, or condvar wait on a *different* lock while a lock guard
 //!   is held (directly or through calls).
-//! * **hot-path-alloc** — functions annotated `// cc19-hot` transitively
-//!   may not reach allocation calls (`Vec::new`, `vec!`, `to_vec`,
-//!   `collect`, `Box::new`, `format!`, owned-buffer `clone`) except
-//!   through a `// cc19-lint: allow(alloc, "reason")` opt-out — the
-//!   static twin of ROADMAP item 3's zero-alloc counting-allocator goal.
+//!
+//! Heap traffic on the inference path is not a lint rule: the counting
+//! allocator in `crates/pipeline/tests/alloc_ratchet.rs` measures it
+//! exactly (DESIGN.md §16).
 //!
 //! Run it with `cargo run -p cc19-lint`; it exits non-zero on any
 //! violation and is wired into `scripts/tier1.sh`, which also

@@ -70,30 +70,10 @@ pub fn render_json(
 ) -> String {
     let mut o = String::new();
     o.push_str("{\n");
-    // alloc_sites
-    o.push_str("  \"alloc_sites\": [");
-    for (i, s) in art.alloc_sites.iter().enumerate() {
-        o.push_str(if i == 0 { "\n" } else { ",\n" });
-        o.push_str(&format!(
-            "    {{\"allowed\": {}, \"chain\": \"{}\", \"fn\": \"{}\", \"line\": {}, \
-             \"path\": \"{}\", \"what\": \"{}\"}}",
-            s.allowed,
-            esc(&s.chain),
-            esc(&s.func),
-            s.line,
-            esc(&s.path),
-            esc(&s.what)
-        ));
-    }
-    o.push_str(if art.alloc_sites.is_empty() { "],\n" } else { "\n  ],\n" });
     // call_graph
     o.push_str(&format!(
-        "  \"call_graph\": {{\"edges\": {}, \"fns\": {}, \"hot_fns\": [{}], \
-         \"hot_reachable\": {}}},\n",
-        art.graph_edges,
-        art.graph_fns,
-        art.hot_fns.iter().map(|f| format!("\"{}\"", esc(f))).collect::<Vec<_>>().join(", "),
-        art.hot_reachable
+        "  \"call_graph\": {{\"edges\": {}, \"fns\": {}}},\n",
+        art.graph_edges, art.graph_fns
     ));
     o.push_str(&format!("  \"files\": {files},\n"));
     // lock_edges
@@ -175,17 +155,17 @@ mod tests {
     #[test]
     fn json_report_is_byte_deterministic_and_escaped() {
         let vs = vec![Violation {
-            rule: "hot-path-alloc",
+            rule: "lock-order",
             path: "crates/a/src/x.rs".into(),
             line: 3,
             msg: "has \"quotes\" and\nnewline".into(),
         }];
         let art = Artifacts::default();
-        let a = render_json(10, &["hot-path-alloc"], &vs, &art);
-        let b = render_json(10, &["hot-path-alloc"], &vs, &art);
+        let a = render_json(10, &["lock-order"], &vs, &art);
+        let b = render_json(10, &["lock-order"], &vs, &art);
         assert_eq!(a, b);
         assert!(a.contains("\\\"quotes\\\" and\\nnewline"), "{a}");
-        assert!(a.contains("\"violation_counts\": {\"hot-path-alloc\": 1}"), "{a}");
+        assert!(a.contains("\"violation_counts\": {\"lock-order\": 1}"), "{a}");
         assert!(a.ends_with("}\n"));
     }
 
@@ -193,7 +173,7 @@ mod tests {
     fn json_report_empty_arrays_stay_on_one_line() {
         let art = Artifacts::default();
         let s = render_json(0, &[], &[], &art);
-        assert!(s.contains("\"alloc_sites\": [],"), "{s}");
+        assert!(s.contains("\"lock_sites\": [],"), "{s}");
         assert!(s.contains("\"violations\": []\n"), "{s}");
     }
 }

@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::LintConfig;
-use crate::graph::{call_open, CallGraph};
+use crate::graph::CallGraph;
 use crate::locks::{self, LockAnalysis};
 use crate::report::Violation;
 use crate::scanner::{tokenize, Token};
@@ -33,7 +33,7 @@ impl SourceFile {
     }
 }
 
-/// All rule names, in report order. The last three are the v2
+/// All rule names, in report order. The last two are the v2
 /// cross-function rules (DESIGN.md §16) built on [`crate::graph`] and
 /// [`crate::locks`].
 pub const RULE_NAMES: &[&str] = &[
@@ -46,11 +46,10 @@ pub const RULE_NAMES: &[&str] = &[
     "whitespace",
     "lock-order",
     "blocking-under-lock",
-    "hot-path-alloc",
 ];
 
 /// The rules that need the workspace call graph / lock analysis.
-pub const GRAPH_RULES: &[&str] = &["lock-order", "blocking-under-lock", "hot-path-alloc"];
+pub const GRAPH_RULES: &[&str] = &["lock-order", "blocking-under-lock"];
 
 /// Crates whose numerics must be bit-reproducible: no ambient clocks or
 /// ambient RNG (DESIGN.md §9/§11). `obs` is here so that the *only*
@@ -96,10 +95,6 @@ pub const PANIC_PATHS: &[&str] = &[
 /// The per-file `unsafe` opt-out marker (must appear verbatim, typically
 /// in a comment near the top of the file, with a reason string).
 pub const UNSAFE_OPT_OUT: &str = "cc19-lint: allow(unsafe";
-
-/// The per-site allocation opt-out marker: on (or directly above) an
-/// allocation line inside the hot-path closure, with a reason string.
-pub const ALLOC_OPT_OUT: &str = "cc19-lint: allow(alloc";
 
 /// Token patterns a rule bans.
 enum Needle {
@@ -167,25 +162,6 @@ fn find_needles(toks: &[Token], needles: &[Needle]) -> Vec<(usize, String)> {
     hits
 }
 
-/// One allocation call site reachable from a `// cc19-hot` seed
-/// (report artifact; `allowed` sites carry an opt-out and are not
-/// violations).
-#[derive(Debug, Clone)]
-pub struct AllocSite {
-    /// File containing the allocation.
-    pub path: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Display form of the allocating call (`vec!`, `.collect()`, …).
-    pub what: String,
-    /// Containing function (`stem::Owner::name`).
-    pub func: String,
-    /// Witness chain from a hot seed.
-    pub chain: String,
-    /// True when covered by an inline or lint.toml opt-out.
-    pub allowed: bool,
-}
-
 /// Cross-function analysis artifacts, surfaced in the JSON report.
 #[derive(Debug, Default)]
 pub struct Artifacts {
@@ -193,16 +169,10 @@ pub struct Artifacts {
     pub graph_fns: usize,
     /// Resolved call edges.
     pub graph_edges: usize,
-    /// Display names of the `// cc19-hot` seeds, sorted.
-    pub hot_fns: Vec<String>,
-    /// Functions transitively reachable from the seeds.
-    pub hot_reachable: usize,
     /// Lock acquisition sites `(lock, path, line)`, sorted.
     pub lock_sites: Vec<(String, String, usize)>,
     /// May-hold-while-acquiring edges `(from, to, witness)`, sorted.
     pub lock_edges: Vec<(String, String, String)>,
-    /// Allocation sites reachable from hot seeds (allowed and not).
-    pub alloc_sites: Vec<AllocSite>,
 }
 
 /// Run the `enabled` subset of rules over the scanned workspace.
@@ -254,8 +224,6 @@ pub fn run_analysis(
         let analysis = locks::analyze(files, &graph);
         artifacts.graph_fns = graph.fns.len();
         artifacts.graph_edges = graph.edge_count();
-        artifacts.hot_fns = graph.hot_seeds().iter().map(|&i| graph.fns[i].display(files)).collect();
-        artifacts.hot_fns.sort();
         artifacts.lock_sites = analysis.sites.clone();
         artifacts.lock_edges = analysis
             .edges
@@ -267,12 +235,6 @@ pub fn run_analysis(
         }
         if enabled.contains(&"blocking-under-lock") {
             v.extend(blocking_under_lock(&analysis, cfg));
-        }
-        if enabled.contains(&"hot-path-alloc") {
-            let (hits, sites, reachable) = hot_path_alloc(files, &graph, cfg);
-            v.extend(hits);
-            artifacts.alloc_sites = sites;
-            artifacts.hot_reachable = reachable;
         }
     }
     v.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
@@ -814,111 +776,6 @@ fn blocking_under_lock(analysis: &LockAnalysis, cfg: &LintConfig) -> Vec<Violati
     out
 }
 
-/// Allocation needles scanned inside hot-reachable fn bodies: paths,
-/// methods, and macros that reach the heap.
-const ALLOC_PATHS: &[(&str, &[&str])] = &[
-    ("Vec", &["new", "with_capacity", "from"]),
-    ("Box", &["new"]),
-    ("String", &["new", "from", "with_capacity"]),
-    ("Arc", &["new"]),
-    ("Rc", &["new"]),
-];
-const ALLOC_METHODS: &[&str] = &["to_vec", "to_owned", "to_string", "collect", "clone"];
-const ALLOC_MACROS: &[&str] = &["vec", "format"];
-
-/// Allocating calls inside one fn body: `(line, display)`.
-fn alloc_hits(toks: &[Token], body: (usize, usize)) -> Vec<(usize, String)> {
-    let (b0, b1) = body;
-    let mut out = Vec::new();
-    for i in b0..=b1 {
-        if toks[i].in_test {
-            continue;
-        }
-        let t = toks[i].text.as_str();
-        if ALLOC_MACROS.contains(&t) && toks.get(i + 1).is_some_and(|n| n.text == "!") {
-            out.push((toks[i].line, format!("{t}!")));
-            continue;
-        }
-        if let Some((_, methods)) = ALLOC_PATHS.iter().find(|(p, _)| *p == t) {
-            if toks.get(i + 1).is_some_and(|n| n.text == ":")
-                && toks.get(i + 2).is_some_and(|n| n.text == ":")
-            {
-                if let Some(m) = toks.get(i + 3).filter(|m| methods.contains(&m.text.as_str())) {
-                    if call_open(toks, i + 3).is_some() {
-                        out.push((toks[i].line, format!("{t}::{}", m.text)));
-                        continue;
-                    }
-                }
-            }
-        }
-        if t == "."
-            && toks
-                .get(i + 1)
-                .is_some_and(|n| ALLOC_METHODS.contains(&n.text.as_str()))
-            && call_open(toks, i + 1).is_some()
-        {
-            // `Arc::clone(&x)` never lands here (path form, not covered
-            // above); `.clone()` does — owned-buffer clones on the hot
-            // path are exactly what the rule exists to name.
-            out.push((toks[i + 1].line, format!(".{}()", toks[i + 1].text)));
-        }
-    }
-    out
-}
-
-/// Does the raw line of `line` (or the line above) carry the alloc
-/// opt-out marker?
-fn alloc_opted_out(raw: &str, line: usize) -> bool {
-    let lines: Vec<&str> = raw.lines().collect();
-    lines.get(line - 1).is_some_and(|l| l.contains(ALLOC_OPT_OUT))
-        || (line >= 2 && lines.get(line - 2).is_some_and(|l| l.contains(ALLOC_OPT_OUT)))
-}
-
-fn hot_path_alloc(
-    files: &[SourceFile],
-    graph: &CallGraph,
-    cfg: &LintConfig,
-) -> (Vec<Violation>, Vec<AllocSite>, usize) {
-    let seeds = graph.hot_seeds();
-    let (reached, parents) = graph.reachable_from(&seeds);
-    let mut out = Vec::new();
-    let mut sites = Vec::new();
-    for &fi in &reached {
-        let d = &graph.fns[fi];
-        let Some(body) = d.body else { continue };
-        let f = &files[d.file];
-        let chain = graph.chain(&parents, fi);
-        for (line, what) in alloc_hits(&f.tokens, body) {
-            let allowed =
-                alloc_opted_out(&f.raw, line) || cfg.is_allowed("hot-path-alloc", &f.path);
-            sites.push(AllocSite {
-                path: f.path.clone(),
-                line,
-                what: what.clone(),
-                func: d.display(files),
-                chain: chain.clone(),
-                allowed,
-            });
-            if !allowed {
-                out.push(Violation {
-                    rule: "hot-path-alloc",
-                    path: f.path.clone(),
-                    line,
-                    msg: format!(
-                        "`{what}` allocates on the hot path (reached via {chain}): \
-                         the `// cc19-hot` contract is zero heap traffic after \
-                         warmup — hoist the buffer, use an `_into` twin, or opt \
-                         out with `// {ALLOC_OPT_OUT}, \"reason\")`"
-                    ),
-                });
-            }
-        }
-    }
-    sites.sort_by(|a, b| (&a.path, a.line, &a.what).cmp(&(&b.path, b.line, &b.what)));
-    sites.dedup_by(|a, b| (&a.path, a.line, &a.what) == (&b.path, b.line, &b.what));
-    (out, sites, reached.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1149,29 +1006,5 @@ mod tests {
         assert!(v[0].msg.contains(".recv()") && v[0].msg.contains("q::inner"), "{v:?}");
         let ok = "fn f(&self) {\n    let mut g = lock(&self.inner);\n    while g.empty { g = wait(&self.cv, g); }\n}\n";
         assert!(run("blocking-under-lock", "crates/serve/src/q.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn hot_path_alloc_walks_the_closure_and_honors_opt_outs() {
-        let src = "// cc19-hot\npub fn hot(&self) { self.step(); }\nfn step(&self) { let v: Vec<f32> = it.collect(); }\nfn cold() { let v = vec![0.0]; }\n";
-        let v = run("hot-path-alloc", "crates/tensor/src/x.rs", src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].msg.contains(".collect()"), "{v:?}");
-        assert!(v[0].msg.contains("hot → step"), "{v:?}");
-        // `cold` is unreachable from the seed: no obligation.
-        let opted = "// cc19-hot\npub fn hot(&self) { self.step(); }\nfn step(&self) {\n    // cc19-lint: allow(alloc, \"one-time warmup\")\n    let v: Vec<f32> = it.collect();\n}\n";
-        assert!(run("hot-path-alloc", "crates/tensor/src/x.rs", opted).is_empty());
-    }
-
-    #[test]
-    fn hot_path_alloc_artifacts_list_allowed_sites_too() {
-        let src = "// cc19-hot\npub fn hot() {\n    // cc19-lint: allow(alloc, \"pinned\")\n    let v = vec![1];\n}\n";
-        let files = [SourceFile::new("crates/tensor/src/x.rs", src)];
-        let (v, art) = run_analysis(&["hot-path-alloc"], &files, &[], &LintConfig::default());
-        assert!(v.is_empty(), "{v:?}");
-        assert_eq!(art.alloc_sites.len(), 1, "{:?}", art.alloc_sites);
-        assert!(art.alloc_sites[0].allowed);
-        assert_eq!(art.alloc_sites[0].what, "vec!");
-        assert_eq!(art.hot_fns, vec!["x::hot".to_string()]);
     }
 }

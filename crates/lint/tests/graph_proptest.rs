@@ -3,11 +3,10 @@
 //!
 //! The graph walks the comment-and-string-stripped token stream, never
 //! raw text, so spoofed `fn` definitions and call syntax inside
-//! comments or string literals must neither add nor remove nodes,
-//! edges, hot seeds, or hot-reachable functions — and real structure
-//! must survive arbitrary reformatting. A generated module with a
-//! known call structure is rendered twice, plain and noisy, and the
-//! two graph shapes must be identical.
+//! comments or string literals must neither add nor remove nodes or
+//! edges — and real structure must survive arbitrary reformatting. A
+//! generated module with a known call structure is rendered twice,
+//! plain and noisy, and the two graph shapes must be identical.
 
 use std::collections::BTreeSet;
 
@@ -16,10 +15,9 @@ use proptest::prelude::*;
 use cc19_lint::graph::CallGraph;
 use cc19_lint::SourceFile;
 
-/// Graph shape: sorted fn displays, resolved call edges, hot seeds,
-/// and the hot-reachable closure — everything the v2 rules consume.
-type Shape =
-    (Vec<String>, BTreeSet<(String, String)>, Vec<String>, BTreeSet<String>);
+/// Graph shape: sorted fn displays and resolved call edges —
+/// everything the lock rules consume.
+type Shape = (Vec<String>, BTreeSet<(String, String)>);
 
 fn shape(files: &[SourceFile]) -> Shape {
     let g = CallGraph::build(files);
@@ -33,21 +31,15 @@ fn shape(files: &[SourceFile]) -> Shape {
             }
         }
     }
-    let seeds = g.hot_seeds();
-    let mut hot: Vec<String> = seeds.iter().map(|&i| g.fns[i].display(files)).collect();
-    hot.sort();
-    let (reach, _) = g.reachable_from(&seeds);
-    let reachable = reach.iter().map(|&i| g.fns[i].display(files)).collect();
-    (fns, edges, hot, reachable)
+    (fns, edges)
 }
 
 /// One generated function: raw callee seeds (reduced mod the module's
-/// fn count at render time), a hot flag, and its noise decorations.
+/// fn count at render time) and its noise decorations.
 #[derive(Debug, Clone)]
 struct FnSpec {
     raw_calls: Vec<usize>,
-    hot: bool,
-    /// Comment line above the item (inserted before any hot marker).
+    /// Comment line above the item.
     pre_comment: Option<String>,
     /// Comment line inside the body spoofing a definition and a call.
     body_comment: Option<String>,
@@ -80,19 +72,14 @@ fn maybe(
 
 fn fn_spec() -> impl Strategy<Value = FnSpec> {
     (
-        (proptest::collection::vec(0usize..64, 0..3), proptest::bool::ANY),
+        proptest::collection::vec(0usize..64, 0..3),
         (maybe(comment_payload()), maybe(comment_payload()), maybe(string_payload())),
         (0usize..3, 0usize..5),
     )
         .prop_map(
-            |(
-                (raw_calls, hot),
-                (pre_comment, body_comment, body_string),
-                (blank_before, indent),
-            )| {
+            |(raw_calls, (pre_comment, body_comment, body_string), (blank_before, indent))| {
                 FnSpec {
                     raw_calls,
-                    hot,
                     pre_comment,
                     body_comment,
                     body_string,
@@ -110,9 +97,7 @@ fn module() -> impl Strategy<Value = Vec<FnSpec>> {
 
 /// Render the module. With `noise: false` the layout is canonical; with
 /// noise, comments/strings/whitespace vary but the token structure the
-/// graph should see is identical. Noise comments are prefixed with a
-/// junk character so a payload can never start a real `// cc19-hot`
-/// marker line, and noise never splits a marker from its function.
+/// graph should see is identical.
 fn render(specs: &[FnSpec], noise: bool) -> String {
     let n = specs.len();
     let mut s = String::from("//! Generated module.\n\n");
@@ -123,11 +108,8 @@ fn render(specs: &[FnSpec], noise: bool) -> String {
                 s.push('\n');
             }
             if let Some(c) = &spec.pre_comment {
-                s.push_str(&format!("// n{c}\n"));
+                s.push_str(&format!("// {c}\n"));
             }
-        }
-        if spec.hot {
-            s.push_str(&format!("{pad}// cc19-hot\n"));
         }
         s.push_str(&format!("{pad}fn f{i}() {{\n"));
         if noise {
@@ -163,7 +145,7 @@ proptest! {
     fn every_generated_call_edge_is_resolved(specs in module()) {
         let path = "crates/gen/src/genmod.rs".to_string();
         let file = SourceFile::new(path, render(&specs, false));
-        let (_, edges, _, _) = shape(std::slice::from_ref(&file));
+        let (_, edges) = shape(std::slice::from_ref(&file));
         let n = specs.len();
         for (i, spec) in specs.iter().enumerate() {
             for &raw in &spec.raw_calls {

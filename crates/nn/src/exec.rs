@@ -4,14 +4,15 @@
 //! written once against [`Exec`], the ops the two networks use. [`Tape`]
 //! records them on an autograd [`Graph`] — training, validation and the
 //! public `forward` methods. [`Eval`] runs them with no tape on
-//! reference-counted tensors — `Ddnet::enhance`, `enhance_stack` and
+//! reference-counted tensors — `Ddnet::enhance` and
 //! `DenseNet3d::predict_proba` — so each activation is freed when its
 //! last handle drops, a uniquely held one is normalised / activated in
 //! place, and parameters are borrowed rather than cloned per call.
 //!
-//! The evaluator's 2D convolutions stay on `conv2d_dispatch` (the backend
-//! its caller picked); its deconvolutions ([`deconv_gather`]) and 3D
-//! convolutions ([`conv3d_taps`]) run the kernel ladder's microkernels.
+//! The evaluator's 2D convolutions stay on `conv2d_dispatch` under
+//! [`ConvBackend::Auto`]'s shape-aware choice; its deconvolutions
+//! ([`deconv_gather`]) and 3D convolutions ([`conv3d_taps`]) run the
+//! kernel ladder's microkernels.
 //! [`conv2d_ladder`] and [`deconv_gather`] take the ladder stage, so
 //! `cc19_ddnet`'s timed executor can run DDnet at any of them.
 
@@ -125,8 +126,6 @@ impl Exec for Tape<'_> {
 pub struct Eval {
     /// Batch-norm statistics mode (an eval mode).
     pub bn: BnForward,
-    /// Backend for the 2D convolutions.
-    pub backend: ConvBackend,
 }
 
 /// The tensor behind `x`, without a copy when `x` is its only handle.
@@ -140,7 +139,7 @@ impl Exec for Eval {
     fn conv(&mut self, layer: &Conv2d, x: Rc<Tensor>) -> Result<Rc<Tensor>> {
         let w = layer.weight.borrow();
         let b = layer.bias.as_ref().map(|b| b.borrow());
-        let y = conv2d_dispatch(self.backend, &x, &w.value, b.as_ref().map(|b| &b.value), layer.spec)?;
+        let y = conv2d_dispatch(ConvBackend::Auto, &x, &w.value, b.as_ref().map(|b| &b.value), layer.spec)?;
         Ok(Rc::new(y))
     }
 

@@ -1,11 +1,10 @@
 //! Request-scoped distributed tracing (DESIGN.md §17).
 //!
-//! Unlike the thread-local [`crate::span`] aggregates — which die at
-//! every thread hop — a trace is request-scoped: a [`TraceCtx`] is
-//! minted once at admission and carried *explicitly* through queue
-//! entries, batch entries, serve stages, and cluster wire frames, so
-//! one request yields one stitched span tree no matter how many
-//! threads or processes touched it.
+//! A trace is request-scoped: a [`TraceCtx`] is minted once at
+//! admission and carried *explicitly* through queue entries, batch
+//! entries, serve stages, and cluster wire frames, so one request
+//! yields one stitched span tree no matter how many threads or
+//! processes touched it.
 //!
 //! # Model
 //!
@@ -33,7 +32,9 @@
 //! Completed spans go through a pre-sized ring ([`TRACE_RING_CAPACITY`]
 //! records, allocated once at store construction): the fast path is a
 //! bounded `Vec::push` of a record, never per-event boxing; overflow
-//! increments a drop counter instead of growing.
+//! increments a drop counter instead of growing. A trace's span-id
+//! counter lives until its local root is recorded or the trace is
+//! taken, so the store holds one counter per request in flight.
 
 use std::collections::BTreeMap;
 
@@ -186,6 +187,12 @@ impl TraceStore {
     }
 
     fn push(&mut self, rec: SpanRecord) {
+        // A trace's local root is recorded after all of its children, so
+        // its span-id sequence is finished: drop it, or a broker or
+        // router (which never `take`) keeps one entry per request.
+        if rec.parent_id == 0 {
+            self.seq.remove(&rec.trace_id);
+        }
         if self.ring.len() < TRACE_RING_CAPACITY {
             self.ring.push(rec);
         } else {
@@ -584,6 +591,26 @@ mod tests {
         let left = reg.trace_records();
         assert_eq!(left.len(), 1);
         assert_eq!(left[0].trace_id, b.trace_id);
+    }
+
+    #[test]
+    fn span_id_sequences_end_with_the_local_root() {
+        let reg = reg_with_tick(1);
+        let root = reg.trace_begin(None);
+        let q = reg.trace_child(root, "serve.queue", 0, 1);
+        reg.trace_child(q, "serve.batch", 1, 2);
+        assert_eq!(lock(&reg.traces).seq.len(), 1);
+        reg.trace_record(root, "serve.request", 0, 2, SpanStatus::Ok);
+        assert!(lock(&reg.traces).seq.is_empty(), "the root closes its trace's sequence");
+
+        // A cluster worker's local subtree under a foreign trace.
+        let worker = reg_with_tick(1);
+        let wroot = worker.trace_begin(Some(TraceCtx { trace_id: 9, span_id: 2, parent_id: 1 }));
+        worker.trace_child(wroot, "serve.queue", 0, 1);
+        worker.trace_record(wroot, "serve.request", 0, 1, SpanStatus::Ok);
+        assert_eq!(worker.trace_take(9).len(), 2);
+        assert!(lock(&worker.traces).seq.is_empty());
+        assert!(worker.trace_records().is_empty());
     }
 
     #[test]

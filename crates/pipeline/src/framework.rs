@@ -157,7 +157,6 @@ impl Framework {
 
     /// Stage 1: normalize a `(D, H, W)` HU volume and run Enhancement AI,
     /// one slice at a time.
-    // cc19-hot
     pub fn run_enhance(&self, vol_hu: &Tensor, scratch: &mut Scratch) -> Result<Enhanced> {
         vol_hu.shape().expect_rank(3)?;
         let dims = vol_hu.dims().to_vec();
@@ -243,7 +242,6 @@ impl Framework {
 
     /// Full diagnosis — a thin wrapper over
     /// [`Framework::diagnose_batch`] with a batch of one.
-    // cc19-hot
     pub fn diagnose(&self, vol_hu: &Tensor, threshold: f64) -> Result<Diagnosis> {
         let mut reports = self.diagnose_batch(std::slice::from_ref(vol_hu), threshold)?;
         Ok(reports.pop().expect("batch of 1 yields 1 report"))

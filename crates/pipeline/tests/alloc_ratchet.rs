@@ -1,14 +1,10 @@
 //! Counting-allocator ratchet for the `diagnose` hot path (ROADMAP
 //! item 3, DESIGN.md §16).
 //!
-//! The static `hot-path-alloc` lint rule names every allocation *site*
-//! reachable from the `// cc19-hot` seeds; this test pins the number of
-//! allocation *events* a warm `diagnose` actually performs. The two
-//! cross-validate: the lint's allowlisted inventory is the list of
-//! places the events below can come from, and compiled inference plans
-//! must drive both to zero. The pin is an upper bound — lowering it is
-//! progress, raising it is a regression that needs a written
-//! justification here.
+//! This test pins the number of allocation *events* a warm `diagnose`
+//! actually performs; it is the workspace's one allocation gate. The
+//! pin is an upper bound — lowering it is progress, raising it is a
+//! regression that needs a written justification here.
 //!
 //! This file holds exactly one `#[test]`: the counting gate is a
 //! process-global, so a second concurrent test in the same binary would
@@ -98,7 +94,7 @@ fn warm_diagnose_allocation_count_is_pinned() {
         events <= WARM_DIAGNOSE_ALLOC_CEILING,
         "warm diagnose performed {events} allocation events, above the pinned \
          ceiling of {WARM_DIAGNOSE_ALLOC_CEILING}; a hot-path change added heap \
-         traffic (see the hot-path-alloc inventory in results/lint_report.json) — \
+         traffic — \
          remove it or justify raising the pin in crates/pipeline/tests/alloc_ratchet.rs"
     );
     assert!(

@@ -262,7 +262,6 @@ impl GemmPath {
 /// is set. `C` is `(m, n)` row-major and must be zero-initialized (the
 /// kernel accumulates). `A` holds `m*k` elements (stored `(k, m)` if
 /// `trans_a`), `B` holds `k*n` (stored `(n, k)` if `trans_b`).
-// cc19-hot
 pub fn sgemm(
     trans_a: bool,
     trans_b: bool,
@@ -335,9 +334,8 @@ fn sgemm_packed(
     let kcs = k.min(KC);
     let task_rows = ceil_mul(m.div_ceil(rayon::current_num_threads()), MC);
     c.par_chunks_mut(task_rows * n).enumerate().for_each(|(task, c_task)| {
-        // cc19-lint: allow(alloc, "one min(k, KC)-deep packing pair per rayon task, reused across its MC blocks; plan arenas (ROADMAP 4) will pre-size them")
+        // One min(k, KC)-deep packing pair per rayon task, reused across its MC blocks.
         let mut ap = vec![0.0f32; ceil_mul(MC.min(c_task.len() / n), MR) * kcs];
-        // cc19-lint: allow(alloc, "see ap above")
         let mut bp = vec![0.0f32; kcs * ceil_mul(NC.min(n), NR)];
         for (blk, c_chunk) in c_task.chunks_mut(MC * n).enumerate() {
             let i0 = task * task_rows + blk * MC;
@@ -412,7 +410,6 @@ fn check_matmul_dims(
         (b.dims()[0], b.dims()[1])
     };
     if k != k2 {
-        // cc19-lint: allow(alloc, "cold error branch: the message is formatted only on a shape mismatch")
         return Err(TensorError::Incompatible(format!(
             "matmul inner dims differ: ({m},{k}) x ({k2},{n}) [trans_a={trans_a}, trans_b={trans_b}]"
         )));

@@ -57,7 +57,6 @@ struct ConvObs {
 /// at inference are counted beside the tensor kernels they replace.
 /// Each pair registers once per process; later calls allocate nothing.
 pub fn conv_call(op: &'static str, pass: &'static str, flops: u64) -> Timer {
-    // cc19-lint: allow(alloc, "const-constructed empty Vec; it grows once per (op, pass) pair, at its first call")
     static CACHE: Mutex<Vec<ConvObs>> = Mutex::new(Vec::new());
     let reg = cc19_obs::global();
     let mut cache = cc19_obs::lock(&CACHE);
@@ -75,7 +74,7 @@ pub fn conv_call(op: &'static str, pass: &'static str, flops: u64) -> Timer {
         }
     };
     cache[i].flops.add(flops);
-    // cc19-lint: allow(alloc, "HistogramHandle is an Arc: the clone bumps a reference count")
+    // HistogramHandle is an Arc: the clone bumps a reference count.
     let seconds = cache[i].seconds.clone();
     drop(cache);
     Timer::start(reg.clock(), seconds)
