@@ -5,14 +5,15 @@
 //! Input: `(B, 1, D, H, W)` normalized volumes. Output: one logit per
 //! volume; `sigmoid(logit)` is the COVID-positive probability.
 
-use std::rc::Rc;
+use std::cell::RefCell;
 
 use cc19_nn::checkpoint::Checkpoint;
-use cc19_nn::exec::{Eval, Exec, Tape};
+use cc19_nn::exec::{Exec, Tape};
 use cc19_nn::graph::{Graph, Var};
 use cc19_nn::init::Init;
 use cc19_nn::layers::{BatchNorm, BnForward, Conv3d, Linear};
 use cc19_nn::param::ParamStore;
+use cc19_nn::plan::{Kernels, Plan};
 use cc19_tensor::conv::Conv2dSpec;
 use cc19_tensor::pool::PoolSpec;
 use cc19_tensor::rng::Xorshift;
@@ -111,6 +112,8 @@ pub struct DenseNet3d {
     bn_stem: BatchNorm,
     blocks: Vec<Block3d>,
     head: Linear,
+    /// The inference plan of the last volume shape classified.
+    plan: RefCell<Option<Plan>>,
 }
 
 impl DenseNet3d {
@@ -159,7 +162,7 @@ impl DenseNet3d {
             blocks.push(Block3d { layers, transition, bn_t });
         }
         let head = Linear::new(&mut store, "head", cfg.base, 1, Init::Gaussian(0.05), &mut rng);
-        DenseNet3d { cfg, store, stem, bn_stem, blocks, head }
+        DenseNet3d { cfg, store, stem, bn_stem, blocks, head, plan: RefCell::new(None) }
     }
 
     /// Forward a `(B, 1, D, H, W)` batch to `(B, 1)` logits, recorded on
@@ -188,7 +191,8 @@ impl DenseNet3d {
         Ok(())
     }
 
-    /// The network, written once for both executors (`cc19_nn::exec`).
+    /// The network, written once for both executors: the tape and the
+    /// plan recorder (`cc19_nn::exec`).
     fn run<E: Exec>(&self, ex: &mut E, x: E::V) -> Result<E::V> {
         let leaky = self.cfg.leaky;
         let pool = PoolSpec { kernel: 2, stride: 2, padding: 0 };
@@ -211,22 +215,24 @@ impl DenseNet3d {
     }
 
     /// COVID-positive probability for one `(D, H, W)` normalized volume:
-    /// a tape-free forward with running batch-norm statistics whose 3D
-    /// convolutions run the kernel ladder's microkernel
-    /// (`cc19_nn::exec::conv3d_taps`).
+    /// the inference plan cached for the volume's shape, with running
+    /// batch-norm statistics, whose 3D convolutions run the kernel
+    /// ladder's microkernel (`cc19_nn::exec::conv3d_taps`).
     pub fn predict_proba(&self, volume: &Tensor) -> Result<f64> {
         let z = self.logit(volume)? as f64;
         Ok(1.0 / (1.0 + (-z).exp()))
     }
 
-    /// The tape-free logit behind [`DenseNet3d::predict_proba`].
+    /// The logit behind [`DenseNet3d::predict_proba`], run as a
+    /// `(1, 1, D, H, W)` batch.
     fn logit(&self, volume: &Tensor) -> Result<f32> {
         volume.shape().expect_rank(3)?;
         let d = volume.dims();
-        let x = volume.reshape([1, 1, d[0], d[1], d[2]])?;
-        self.check_input(x.dims())?;
-        let mut ex = Eval { bn: BnForward::RunningEval };
-        Ok(self.run(&mut ex, Rc::new(x))?.data()[0])
+        let dims = [1, 1, d[0], d[1], d[2]];
+        self.check_input(&dims)?;
+        let mut cache = self.plan.borrow_mut();
+        let compile = || Plan::compile(&dims, Kernels::Served, BnForward::RunningEval, |rec, x| self.run(rec, x));
+        Ok(Plan::cached(&mut cache, &dims, compile)?.run(volume.data())?.data()[0])
     }
 
     /// Total scalar parameter count.

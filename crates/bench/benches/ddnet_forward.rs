@@ -1,6 +1,6 @@
 //! Whole-DDnet inference: the paper network on the kernel ladder (per
-//! optimization stage, `Ddnet::enhance_timed`) and on the serving
-//! evaluator (`Ddnet::enhance`, whose convolutions take the tensor
+//! optimization stage, `Ddnet::enhance_timed`) and on the served
+//! inference plan (`Ddnet::enhance`, whose convolutions take the tensor
 //! backend dispatch — the "framework"/PyTorch analogue of Table 4's two
 //! columns).
 

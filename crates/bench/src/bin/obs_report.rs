@@ -329,29 +329,6 @@ fn derive_gauges() {
     }
 }
 
-/// One sorted-key JSON object of every `bench_*` gauge — the line
-/// appended per run to `results/bench_history.jsonl`, which
-/// `scripts/bench_check.sh` diffs against the previous run.
-fn bench_history_line(snap: &Snapshot) -> String {
-    let mut entries: Vec<(String, f64)> = snap
-        .gauges
-        .iter()
-        .filter(|g| g.name.starts_with("bench_"))
-        .map(|g| (g.key.clone(), g.value))
-        .collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = String::from("{");
-    for (i, (k, v)) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let key = k.replace('\\', "\\\\").replace('"', "\\\"");
-        out.push_str(&format!("\"{key}\": {v:?}"));
-    }
-    out.push_str("}\n");
-    out
-}
-
 fn print_summary(snap: &Snapshot) {
     let t = TablePrinter::new(&[34, 16]);
     t.row(&[&"metric", &"value"]);
@@ -466,5 +443,4 @@ fn main() {
         "trace_report.json",
         &cc19_obs::trace::critical_path_report(&cluster_reg, 3),
     );
-    cc19_bench::append_result("bench_history.jsonl", &bench_history_line(&snap));
 }

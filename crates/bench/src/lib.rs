@@ -50,22 +50,6 @@ pub fn write_result(name: &str, content: &str) {
     println!("\n[written] {}", path.display());
 }
 
-/// Append one line to `results/<name>`, creating the file if absent —
-/// the bench-trajectory file (`bench_history.jsonl`) grows one entry
-/// per `obs_report` run and `scripts/bench_check.sh` diffs the newest
-/// two entries for regressions.
-pub fn append_result(name: &str, line: &str) {
-    use std::io::Write;
-    let path = results_dir().join(name);
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .expect("open history file");
-    f.write_all(line.as_bytes()).expect("append result line");
-    println!("[appended] {}", path.display());
-}
-
 /// Simple fixed-width table printer.
 pub struct TablePrinter {
     widths: Vec<usize>,

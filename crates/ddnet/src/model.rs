@@ -1,20 +1,21 @@
 //! The DDnet model definition (paper Table 2 / Figs 6–7).
 
-use std::rc::Rc;
+use std::cell::RefCell;
 
 use cc19_kernels::OptLevel;
 use cc19_nn::checkpoint::Checkpoint;
-use cc19_nn::exec::{owned, Eval, Exec, Tape};
+use cc19_nn::exec::{Exec, Tape};
 use cc19_nn::graph::{Graph, Var};
 use cc19_nn::init::Init;
 use cc19_nn::layers::{BatchNorm, BnForward, Conv2d, ConvTranspose2d};
 use cc19_nn::param::ParamStore;
+use cc19_nn::plan::{Kernels, Plan};
 use cc19_tensor::conv::Conv2dSpec;
 use cc19_tensor::pool::PoolSpec;
 use cc19_tensor::rng::Xorshift;
 use cc19_tensor::{Tensor, TensorError};
 
-use crate::timed::{KernelTimes, Ladder};
+use crate::timed::KernelTimes;
 use crate::Result;
 
 /// DDnet hyper-parameters.
@@ -224,6 +225,14 @@ fn check_input(dims: &[usize]) -> Result<()> {
     Ok(())
 }
 
+/// The `(1, 1, H, W)` batch shape of an `(H, W)` slice DDnet takes.
+fn slice_dims(img: &Tensor) -> Result<[usize; 4]> {
+    img.shape().expect_rank(2)?;
+    let dims = [1, 1, img.dims()[0], img.dims()[1]];
+    check_input(&dims)?;
+    Ok(dims)
+}
+
 /// The DDnet network.
 pub struct Ddnet {
     /// Configuration this instance was built with.
@@ -236,6 +245,8 @@ pub struct Ddnet {
     transitions: Vec<Conv2d>,
     bn_transitions: Vec<BatchNorm>,
     decoder: Vec<DecoderStage>,
+    /// The served inference plan of the last slice shape enhanced.
+    plan: RefCell<Option<Plan>>,
 }
 
 /// A row of the architecture audit table (compare with paper Table 2).
@@ -324,7 +335,7 @@ impl Ddnet {
             }
         }
 
-        Ddnet { cfg, store, conv_stem, bn_stem, blocks, transitions, bn_transitions, decoder }
+        Ddnet { cfg, store, conv_stem, bn_stem, blocks, transitions, bn_transitions, decoder, plan: RefCell::new(None) }
     }
 
     /// Forward pass on a `(B, 1, H, W)` batch (H, W divisible by 16),
@@ -345,8 +356,8 @@ impl Ddnet {
         }
     }
 
-    /// The network, written once for every executor (`cc19_nn::exec`,
-    /// [`Ladder`]).
+    /// The network, written once for both executors: the tape and the
+    /// plan recorder (`cc19_nn::exec`).
     fn run<E: Exec>(&self, ex: &mut E, x: E::V) -> Result<E::V> {
         let leaky = self.cfg.leaky;
         let pool = PoolSpec::DDNET;
@@ -381,39 +392,38 @@ impl Ddnet {
         Ok(h)
     }
 
-    /// The tape-free evaluator: convolutions through
-    /// `conv2d_dispatch(Auto)`, deconvolutions on the kernel ladder's
-    /// gather microkernel, batch-norm with per-sample statistics in
-    /// instance-norm configurations.
-    fn eval(&self) -> Eval {
-        Eval { bn: self.bn_mode(false) }
+    /// The inference plan of a `dims`-shaped batch on `kernels`, with
+    /// per-sample batch-norm statistics in instance-norm configurations.
+    fn compile(&self, dims: &[usize], kernels: Kernels) -> Result<Plan> {
+        Plan::compile(dims, kernels, self.bn_mode(false), |rec, x| self.run(rec, x))
     }
 
-    /// Tape-free forward on `ex` of an `(H, W)` image, run as a
-    /// `(1, 1, H, W)` batch.
-    fn infer<E: Exec<V = Rc<Tensor>>>(&self, ex: &mut E, img: &Tensor) -> Result<Tensor> {
-        img.shape().expect_rank(2)?;
-        let d = img.dims();
-        let batch = img.reshape([1, 1, d[0], d[1]])?;
-        check_input(batch.dims())?;
-        let mut y = owned(self.run(ex, Rc::new(batch))?);
-        y.reshape_in_place(d)?;
+    /// Enhance a single `(H, W)` image in `[0,1]` (inference convenience):
+    /// run as a `(1, 1, H, W)` batch on the plan cached for that shape
+    /// (compiled on the first call and when the shape changes) —
+    /// convolutions through `conv2d_dispatch(Auto)`'s kernels,
+    /// deconvolutions on the kernel ladder's gather microkernel.
+    pub fn enhance(&self, img: &Tensor) -> Result<Tensor> {
+        let dims = slice_dims(img)?;
+        let mut cache = self.plan.borrow_mut();
+        let plan = Plan::cached(&mut cache, &dims, || self.compile(&dims, Kernels::Served))?;
+        let mut y = plan.run(img.data())?;
+        y.reshape_in_place(img.dims())?;
         Ok(y)
     }
 
-    /// Enhance a single `(n, n)` image in `[0,1]` (inference convenience).
-    pub fn enhance(&self, img: &Tensor) -> Result<Tensor> {
-        self.infer(&mut self.eval(), img)
-    }
-
-    /// [`Ddnet::enhance`] with every convolution and deconvolution on the
-    /// kernel ladder at `level`, one sample at a time, and the time spent
-    /// per kernel class (the measured rows of Tables 4, 5 and 7). The
-    /// output matches `enhance` up to the kernels' accumulation order.
+    /// [`Ddnet::enhance`] on a plan whose convolutions and deconvolutions
+    /// run the kernel ladder at `level`, one sample at a time, and the
+    /// time its ops spent per kernel class (the measured rows of Tables
+    /// 4, 5 and 7), read on the global registry's clock. The output
+    /// matches `enhance` up to the kernels' accumulation order.
     pub fn enhance_timed(&self, img: &Tensor, level: OptLevel) -> Result<(Tensor, KernelTimes)> {
-        let mut ex = Ladder { level, eval: self.eval(), times: KernelTimes::default() };
-        let y = self.infer(&mut ex, img)?;
-        Ok((y, ex.times))
+        let dims = slice_dims(img)?;
+        let mut plan = self.compile(&dims, Kernels::Stage(level))?;
+        let clock = cc19_obs::global();
+        let (mut y, ns) = plan.run_timed(img.data(), || clock.now_ns())?;
+        y.reshape_in_place(img.dims())?;
+        Ok((y, KernelTimes::of(plan.classes().zip(ns))))
     }
 
     /// Number of *convolution* layers (paper: 37) — 7×7 stem + 2 per dense
@@ -750,6 +760,60 @@ pub(crate) mod tests {
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `net.enhance` of a seeded `h×w` slice, as bits.
+    fn enhanced(net: &Ddnet, h: usize, w: usize) -> Vec<u32> {
+        bits(&net.enhance(&Xorshift::new((h * w) as u64).uniform_tensor([h, w], 0.0, 1.0)).unwrap())
+    }
+
+    #[test]
+    fn a_plan_reads_weights_at_run_time() {
+        // compile at 32², then nudge: the cached plan must see the new weights
+        let net = Ddnet::new(DdnetConfig::tiny(), 61);
+        let identity = enhanced(&net, 32, 32);
+        for p in net.store.params() {
+            for v in p.borrow_mut().value.data_mut() {
+                *v += 0.01;
+            }
+        }
+        let after = enhanced(&net, 32, 32);
+        assert_ne!(after, identity, "the nudge must reach the cached plan");
+        assert_eq!(after, enhanced(&nudged(DdnetConfig::tiny(), 61), 32, 32));
+    }
+
+    #[test]
+    fn a_new_shape_recompiles_and_each_call_keeps_its_bits() {
+        let net = nudged(DdnetConfig::tiny(), 62);
+        let want = [enhanced(&nudged(DdnetConfig::tiny(), 62), 32, 32), enhanced(&nudged(DdnetConfig::tiny(), 62), 48, 80)];
+        for round in 0..3 {
+            for (i, (h, w)) in [(32, 32), (48, 80)].into_iter().enumerate() {
+                assert_eq!(enhanced(&net, h, w), want[i], "round {round}: {h}x{w}");
+                assert_eq!(net.plan.borrow().as_ref().map(|p| p.dims().to_vec()), Some(vec![1, 1, h, w]));
+            }
+        }
+    }
+
+    #[test]
+    fn the_arena_is_the_colourings_prediction() {
+        // At 512² (tiny: base 4) the widest moment is the last decoder
+        // stage: its [deconv | skip] slot of 3·4 channels (12 MiB; the
+        // encoder's stem wrote the skip into it) beside the 4-channel
+        // upsample slot that deconvolution reads (4 MiB). Coalesced
+        // concatenations copy nothing, and the colouring packs the arena
+        // to that peak exactly. Paper width (base 16) is four times that.
+        for (cfg, n, bytes) in [(DdnetConfig::tiny(), 512, 16 << 20), (DdnetConfig::paper(), 512, 64 << 20), (DdnetConfig::tiny(), 32, 64 << 10)] {
+            let plan = Ddnet::new(cfg, 63).compile(&[1, 1, n, n], Kernels::Served).unwrap();
+            assert_eq!(plan.concat_copies(), 0, "{n}²: every concatenation is a view");
+            assert_eq!(plan.arena_bytes(), plan.live_peak_bytes(), "{n}²: the colouring wastes nothing");
+            assert_eq!(plan.arena_bytes(), bytes, "{n}²");
+        }
+        // without the global shortcuts there is no decoder concatenation
+        let mut cfg = DdnetConfig::tiny();
+        cfg.no_global_shortcuts = true;
+        let plan = Ddnet::new(cfg, 63).compile(&[1, 1, 512, 512], Kernels::Served).unwrap();
+        assert_eq!(plan.concat_copies(), 0);
+        assert!(plan.arena_bytes() < 16 << 20, "{}", plan.arena_bytes());
     }
 
     #[test]

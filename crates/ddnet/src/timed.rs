@@ -1,24 +1,17 @@
 //! DDnet on the kernel ladder, timed per kernel class — the measured rows
 //! of Tables 4, 5 and 7 (§4.2, §5.1.3).
 //!
-//! [`Ladder`] is the third executor of `Ddnet::run` (DESIGN.md §8): its
-//! convolutions and deconvolutions run the kernel ladder at one
-//! [`OptLevel`], and every other op is [`Eval`]'s. So
-//! `Ddnet::enhance_timed` times the network `Ddnet::enhance` serves, split
-//! as Table 5 splits it: convolution, deconvolution, and everything else
-//! (batch norm, activation, pooling, un-pooling, concatenation, the
-//! residual add).
+//! `Ddnet::enhance_timed` compiles the network `Ddnet::enhance` serves
+//! into an inference plan whose convolutions and deconvolutions run the
+//! kernel ladder at one [`OptLevel`](cc19_kernels::OptLevel)
+//! (DESIGN.md §8), times each op of the plan, and sums the times here as
+//! Table 5 splits them: convolution, deconvolution, and everything else
+//! (batch norm, activation, pooling, un-pooling, the residual add;
+//! concatenation is a view and takes no time).
 
-use std::rc::Rc;
 use std::time::Duration;
 
-use cc19_kernels::OptLevel;
-use cc19_nn::exec::{conv2d_ladder, deconv_gather, Eval, Exec};
-use cc19_nn::layers::{BatchNorm, Conv2d, Conv3d, ConvTranspose2d, Linear};
-use cc19_tensor::pool::PoolSpec;
-use cc19_tensor::Tensor;
-
-use crate::Result;
+use cc19_nn::plan::OpClass;
 
 /// Accumulated per-kernel-class execution time (Table 5's columns).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -36,78 +29,25 @@ impl KernelTimes {
     pub fn total(&self) -> Duration {
         self.conv + self.deconv + self.other
     }
-}
 
-/// Runs 2D convolutions and deconvolutions on the kernel ladder at
-/// `level`, one sample at a time, and every other op on `eval`, timing
-/// each op into `times`.
-pub(crate) struct Ladder {
-    /// Ladder stage of the convolutions and deconvolutions.
-    pub(crate) level: OptLevel,
-    /// Executor of every other op.
-    pub(crate) eval: Eval,
-    /// Time accumulated so far.
-    pub(crate) times: KernelTimes,
-}
-
-/// Run `op`, adding its duration to `into`, read on the global registry's
-/// clock (`cc19_obs::global_clock()`).
-fn timed<T>(into: &mut Duration, op: impl FnOnce() -> T) -> T {
-    let clock = cc19_obs::global();
-    let t0 = clock.now_ns();
-    let y = op();
-    *into += Duration::from_nanos(clock.now_ns().saturating_sub(t0));
-    y
-}
-
-/// [`Exec`] methods that run [`Eval`]'s op, timed as "other".
-macro_rules! other {
-    ($($op:ident($($arg:ident: $ty:ty),*) -> $ret:ty;)*) => {$(
-        fn $op(&mut self, $($arg: $ty),*) -> $ret {
-            timed(&mut self.times.other, || self.eval.$op($($arg),*))
+    /// The sum of per-op nanoseconds by kernel class.
+    pub(crate) fn of(ops: impl Iterator<Item = (OpClass, u64)>) -> KernelTimes {
+        let mut t = KernelTimes::default();
+        for (class, ns) in ops {
+            let slot = match class {
+                OpClass::Conv => &mut t.conv,
+                OpClass::Deconv => &mut t.deconv,
+                OpClass::Other => &mut t.other,
+            };
+            *slot += Duration::from_nanos(ns);
         }
-    )*};
-}
-
-impl Exec for Ladder {
-    type V = Rc<Tensor>;
-
-    fn conv(&mut self, layer: &Conv2d, x: Rc<Tensor>) -> Result<Rc<Tensor>> {
-        let (w, b) = (layer.weight.borrow(), layer.bias.as_ref().map(|b| b.borrow()));
-        let level = self.level;
-        let y = timed(&mut self.times.conv, || {
-            conv2d_ladder(level, &x, &w.value, b.as_ref().map(|b| &b.value), layer.spec)
-        })?;
-        Ok(Rc::new(y))
-    }
-
-    fn deconv(&mut self, layer: &ConvTranspose2d, x: Rc<Tensor>) -> Result<Rc<Tensor>> {
-        let (w, b) = (layer.weight.borrow(), layer.bias.as_ref().map(|b| b.borrow()));
-        let level = self.level;
-        let y = timed(&mut self.times.deconv, || {
-            deconv_gather(level, &x, &w.value, b.as_ref().map(|b| &b.value), layer.spec)
-        })?;
-        Ok(Rc::new(y))
-    }
-
-    // DDnet has no 3D convolution, global pool or linear layer; they
-    // are here for the trait.
-    other! {
-        conv3d(layer: &Conv3d, x: Rc<Tensor>) -> Result<Rc<Tensor>>;
-        batch_norm(layer: &BatchNorm, x: Rc<Tensor>) -> Result<Rc<Tensor>>;
-        leaky_relu(x: Rc<Tensor>, slope: f32) -> Rc<Tensor>;
-        max_pool(x: Rc<Tensor>, spec: PoolSpec) -> Result<Rc<Tensor>>;
-        max_pool3d(x: Rc<Tensor>, spec: PoolSpec) -> Result<Rc<Tensor>>;
-        global_avg_pool(x: Rc<Tensor>) -> Result<Rc<Tensor>>;
-        linear(layer: &Linear, x: Rc<Tensor>) -> Result<Rc<Tensor>>;
-        upsample(x: Rc<Tensor>, scale: usize) -> Result<Rc<Tensor>>;
-        concat(a: Rc<Tensor>, b: Rc<Tensor>) -> Result<Rc<Tensor>>;
-        add(a: Rc<Tensor>, b: Rc<Tensor>) -> Result<Rc<Tensor>>;
+        t
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use cc19_kernels::OptLevel;
     use cc19_tensor::rng::Xorshift;
 
     use super::*;

@@ -77,17 +77,44 @@ pub fn conv2d_with(
     bias: &[f32],
     s: ConvShape,
 ) -> Vec<f32> {
+    check_conv2d(input, weight, bias, s);
+    let mut out = vec![0.0f32; s.out_len()];
+    conv2d_with_into(level, simd, input, weight, bias, s, &mut out);
+    out
+}
+
+/// The buffer and shape checks of [`conv2d_with`].
+fn check_conv2d(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape) {
     assert_eq!(input.len(), s.in_len(), "conv2d_with: input length");
     assert_eq!(weight.len(), s.cout * s.cin * s.k * s.k, "conv2d_with: weight length");
     assert_eq!(bias.len(), s.cout, "conv2d_with: bias length");
     assert!(s.k <= s.h.min(s.w) + 2 * s.pad, "conv2d_with: filter larger than the padded input: {s:?}");
+}
+
+/// [`conv2d_with`] into `out` (`s.out_len()` long, every element
+/// overwritten).
+///
+/// # Panics
+///
+/// As [`conv2d_with`], and when `out` is not `s.out_len()` long.
+pub fn conv2d_with_into(
+    level: OptLevel,
+    simd: SimdLevel,
+    input: &[f32],
+    weight: &[f32],
+    bias: &[f32],
+    s: ConvShape,
+    out: &mut [f32],
+) {
+    check_conv2d(input, weight, bias, s);
+    assert_eq!(out.len(), s.out_len(), "conv2d_with: output length");
     match level.conv_kernel(simd) {
-        ConvKernel::ScalarNaive => conv_baseline(input, weight, bias, s),
-        ConvKernel::ScalarHoisted => conv_prefetch(input, weight, bias, s, false),
-        ConvKernel::ScalarHoistedUnrolled => conv_prefetch(input, weight, bias, s, true),
-        ConvKernel::Avx2 => conv_avx2(input, weight, bias, s, false, false),
-        ConvKernel::Avx2Prefetch => conv_avx2(input, weight, bias, s, true, false),
-        ConvKernel::Avx2PrefetchUnrolled => conv_avx2(input, weight, bias, s, true, true),
+        ConvKernel::ScalarNaive => conv_baseline(input, weight, bias, s, out),
+        ConvKernel::ScalarHoisted => conv_prefetch(input, weight, bias, s, false, out),
+        ConvKernel::ScalarHoistedUnrolled => conv_prefetch(input, weight, bias, s, true, out),
+        ConvKernel::Avx2 => conv_avx2(input, weight, bias, s, false, false, out),
+        ConvKernel::Avx2Prefetch => conv_avx2(input, weight, bias, s, true, false, out),
+        ConvKernel::Avx2PrefetchUnrolled => conv_avx2(input, weight, bias, s, true, true, out),
     }
 }
 
@@ -187,6 +214,14 @@ pub fn conv3d_with(
     bias: &[f32],
     s: Conv3dShape,
 ) -> Vec<f32> {
+    check_conv3d(input, weight, bias, s);
+    let mut out = vec![0.0f32; s.out_len()];
+    conv3d_with_into(level, simd, input, weight, bias, s, &mut out);
+    out
+}
+
+/// The buffer and shape checks of [`conv3d_with`].
+fn check_conv3d(input: &[f32], weight: &[f32], bias: &[f32], s: Conv3dShape) {
     assert_eq!(input.len(), s.in_len(), "conv3d_with: input length");
     assert_eq!(weight.len(), s.cout * s.cin * s.k.pow(3), "conv3d_with: weight length");
     assert_eq!(bias.len(), s.cout, "conv3d_with: bias length");
@@ -194,9 +229,30 @@ pub fn conv3d_with(
         s.pad < s.k && s.k <= s.d.min(s.h).min(s.w) + 2 * s.pad,
         "conv3d_with: the padding does not fit the filter: {s:?}"
     );
+}
+
+/// [`conv3d_with`] into `out` (`s.out_len()` long, every element
+/// overwritten). A K×K×K filter stages the depth-major input, one
+/// depth's taps and one depth's output in three buffers reused across
+/// the output depths.
+///
+/// # Panics
+///
+/// As [`conv3d_with`], and when `out` is not `s.out_len()` long.
+pub fn conv3d_with_into(
+    level: OptLevel,
+    simd: SimdLevel,
+    input: &[f32],
+    weight: &[f32],
+    bias: &[f32],
+    s: Conv3dShape,
+    out: &mut [f32],
+) {
+    check_conv3d(input, weight, bias, s);
+    assert_eq!(out.len(), s.out_len(), "conv3d_with: output length");
     if s.k == 1 && s.pad == 0 {
         let flat = ConvShape { cin: s.cin, cout: s.cout, h: s.d * s.h, w: s.w, k: 1, pad: 0 };
-        return conv2d_with(level, simd, input, weight, bias, flat);
+        return conv2d_with_into(level, simd, input, weight, bias, flat, out);
     }
     // Depth-major `(D, Cin, H, W)` order makes the slabs of consecutive
     // taps one contiguous `(taps·Cin, H, W)` block; with one channel or
@@ -216,10 +272,14 @@ pub fn conv3d_with(
         }
         &depth_major
     };
-    let depth = |oz: usize| {
+    let (od, oh, ow) = s.out_dhw();
+    let ohw = oh * ow;
+    let kk = s.k * s.k;
+    let mut taps = Vec::with_capacity(s.cout * s.k * s.cin * kk);
+    let mut plane = if od == 1 { Vec::new() } else { vec![0.0f32; s.cout * ohw] };
+    for oz in 0..od {
         let (lo, hi) = (s.pad.saturating_sub(oz), s.k.min(s.d + s.pad - oz));
-        let kk = s.k * s.k;
-        let mut taps = Vec::with_capacity(s.cout * (hi - lo) * s.cin * kk);
+        taps.clear();
         for co in 0..s.cout {
             for kz in lo..hi {
                 for ci in 0..s.cin {
@@ -229,20 +289,15 @@ pub fn conv3d_with(
             }
         }
         let iz = oz + lo - s.pad;
-        conv2d_with(level, simd, &slabs[iz * slab..(iz + hi - lo) * slab], &taps, bias, s.plane(hi - lo))
-    };
-    let (od, oh, ow) = s.out_dhw();
-    if od == 1 {
-        return depth(0);
-    }
-    let ohw = oh * ow;
-    let mut out = vec![0.0f32; s.out_len()];
-    for oz in 0..od {
-        for (co, plane) in depth(oz).chunks_exact(ohw).enumerate() {
-            out[(co * od + oz) * ohw..][..ohw].copy_from_slice(plane);
+        let slabs = &slabs[iz * slab..(iz + hi - lo) * slab];
+        if od == 1 {
+            return conv2d_with_into(level, simd, slabs, &taps, bias, s.plane(hi - lo), out);
+        }
+        conv2d_with_into(level, simd, slabs, &taps, bias, s.plane(hi - lo), &mut plane);
+        for (co, p) in plane.chunks_exact(ohw).enumerate() {
+            out[(co * od + oz) * ohw..][..ohw].copy_from_slice(p);
         }
     }
-    out
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -253,18 +308,13 @@ fn conv_avx2(
     s: ConvShape,
     prefetch: bool,
     unroll: bool,
-) -> Vec<f32> {
-    crate::microkernel::conv2d_avx2(
-        input,
-        weight,
-        bias,
-        s,
-        crate::microkernel::Mode { prefetch, unroll },
-    )
+    out: &mut [f32],
+) {
+    crate::microkernel::conv2d_avx2(input, weight, bias, s, crate::microkernel::Mode { prefetch, unroll }, out)
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn conv_avx2(_: &[f32], _: &[f32], _: &[f32], _: ConvShape, _: bool, _: bool) -> Vec<f32> {
+fn conv_avx2(_: &[f32], _: &[f32], _: &[f32], _: ConvShape, _: bool, _: bool, _: &mut [f32]) {
     // `simd::active()` never selects AVX2 off x86_64; only an explicit
     // `conv2d_with(.., Avx2, ..)` on a non-x86 build can reach this.
     unreachable!("AVX2 dispatch requested on a non-x86_64 build")
@@ -272,9 +322,8 @@ fn conv_avx2(_: &[f32], _: &[f32], _: &[f32], _: ConvShape, _: bool, _: bool) ->
 
 /// Naive kernel: every bound and index recomputed in the innermost loop,
 /// exactly as a line-by-line OpenCL port would do.
-fn conv_baseline(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape) -> Vec<f32> {
+fn conv_baseline(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape, out: &mut [f32]) {
     let (oh, ow) = (s.out_h(), s.out_w());
-    let mut out = vec![0.0f32; s.out_len()];
     out.par_chunks_mut(oh * ow).enumerate().for_each(|(co, plane)| {
         for oy in 0..oh {
             for ox in 0..ow {
@@ -295,18 +344,16 @@ fn conv_baseline(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape) -> V
             }
         }
     });
-    out
 }
 
 /// Prefetched kernel: bounds hoisted, filter rows sliced outside the inner
 /// loop, optional ×5 unrolling for the 5-wide dedicated path.
-fn conv_prefetch(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape, unroll: bool) -> Vec<f32> {
+fn conv_prefetch(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape, unroll: bool, out: &mut [f32]) {
     let (oh, ow) = (s.out_h(), s.out_w());
     // prefetch scalar bounds into locals (the paper's PF optimization)
     let (h, w, k, pad, cin) = (s.h, s.w, s.k, s.pad, s.cin);
     let hw = h * w;
     let kk = k * k;
-    let mut out = vec![0.0f32; s.out_len()];
     out.par_chunks_mut(oh * ow).enumerate().for_each(|(co, plane)| {
         let wbase = &weight[co * cin * kk..(co + 1) * cin * kk];
         let b = bias[co];
@@ -344,7 +391,6 @@ fn conv_prefetch(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape, unro
             }
         }
     });
-    out
 }
 
 /// One scalar output element in exactly the scalar ladder's accumulation
@@ -473,7 +519,8 @@ mod tests {
             let (input, weight, bias) = random_case(21 + k as u64, s);
             let (oh, ow) = (s.out_h(), s.out_w());
             for unroll in [false, true] {
-                let expect = conv_prefetch(&input, &weight, &bias, s, unroll);
+                let mut expect = vec![0.0f32; s.out_len()];
+                conv_prefetch(&input, &weight, &bias, s, unroll, &mut expect);
                 for co in 0..s.cout {
                     let wbase = &weight[co * s.cin * k * k..];
                     for oy in 0..oh {

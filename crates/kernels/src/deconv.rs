@@ -55,20 +55,45 @@ pub fn deconv2d_with(
     bias: &[f32],
     s: ConvShape,
 ) -> Vec<f32> {
+    check_deconv2d(input, weight, bias, s);
+    let mut out = vec![0.0f32; s.cout * out_h(s) * out_w(s)];
+    deconv2d_with_into(level, simd, input, weight, bias, s, &mut out);
+    out
+}
+
+/// The buffer and shape checks of [`deconv2d_with`].
+fn check_deconv2d(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape) {
     assert_eq!(input.len(), s.in_len(), "deconv2d_with: input length");
     assert_eq!(weight.len(), s.cin * s.cout * s.k * s.k, "deconv2d_with: weight length");
     assert_eq!(bias.len(), s.cout, "deconv2d_with: bias length");
     assert!(2 * s.pad < s.h.min(s.w) + s.k, "deconv2d_with: padding exceeds the output extent: {s:?}");
+}
+
+/// [`deconv2d_with`] into `out` (`cout · out_h · out_w` long, every
+/// element overwritten).
+///
+/// # Panics
+///
+/// As [`deconv2d_with`], and when `out` has the wrong length.
+pub fn deconv2d_with_into(
+    level: OptLevel,
+    simd: SimdLevel,
+    input: &[f32],
+    weight: &[f32],
+    bias: &[f32],
+    s: ConvShape,
+    out: &mut [f32],
+) {
+    check_deconv2d(input, weight, bias, s);
+    assert_eq!(out.len(), s.cout * out_h(s) * out_w(s), "deconv2d_with: output length");
     match level.deconv_kernel(simd) {
-        DeconvKernel::ScalarScatter => deconv_scatter(input, weight, bias, s),
-        DeconvKernel::ScalarGather => deconv_gather(input, weight, bias, s, false, false),
-        DeconvKernel::ScalarGatherHoisted => deconv_gather(input, weight, bias, s, true, false),
-        DeconvKernel::ScalarGatherHoistedUnrolled => {
-            deconv_gather(input, weight, bias, s, true, true)
-        }
-        DeconvKernel::Avx2Gather => deconv_avx2(input, weight, bias, s, false, false),
-        DeconvKernel::Avx2GatherPrefetch => deconv_avx2(input, weight, bias, s, true, false),
-        DeconvKernel::Avx2GatherPrefetchUnrolled => deconv_avx2(input, weight, bias, s, true, true),
+        DeconvKernel::ScalarScatter => deconv_scatter(input, weight, bias, s, out),
+        DeconvKernel::ScalarGather => deconv_gather(input, weight, bias, s, false, false, out),
+        DeconvKernel::ScalarGatherHoisted => deconv_gather(input, weight, bias, s, true, false, out),
+        DeconvKernel::ScalarGatherHoistedUnrolled => deconv_gather(input, weight, bias, s, true, true, out),
+        DeconvKernel::Avx2Gather => deconv_avx2(input, weight, bias, s, false, false, out),
+        DeconvKernel::Avx2GatherPrefetch => deconv_avx2(input, weight, bias, s, true, false, out),
+        DeconvKernel::Avx2GatherPrefetchUnrolled => deconv_avx2(input, weight, bias, s, true, true, out),
     }
 }
 
@@ -80,18 +105,13 @@ fn deconv_avx2(
     s: ConvShape,
     prefetch: bool,
     unroll: bool,
-) -> Vec<f32> {
-    crate::microkernel::deconv2d_avx2(
-        input,
-        weight,
-        bias,
-        s,
-        crate::microkernel::Mode { prefetch, unroll },
-    )
+    out: &mut [f32],
+) {
+    crate::microkernel::deconv2d_avx2(input, weight, bias, s, crate::microkernel::Mode { prefetch, unroll }, out)
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn deconv_avx2(_: &[f32], _: &[f32], _: &[f32], _: ConvShape, _: bool, _: bool) -> Vec<f32> {
+fn deconv_avx2(_: &[f32], _: &[f32], _: &[f32], _: ConvShape, _: bool, _: bool, _: &mut [f32]) {
     // `simd::active()` never selects AVX2 off x86_64; only an explicit
     // `deconv2d_with(.., Avx2, ..)` on a non-x86 build can reach this.
     unreachable!("AVX2 dispatch requested on a non-x86_64 build")
@@ -104,13 +124,13 @@ fn deconv_avx2(_: &[f32], _: &[f32], _: &[f32], _: ConvShape, _: bool, _: bool) 
 /// faithful port uses atomic adds — which is exactly the recurring
 /// global-memory traffic the paper's §4.2.1 identifies as the baseline's
 /// pathology and removes with the gather refactoring.
-fn deconv_scatter(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape) -> Vec<f32> {
+fn deconv_scatter(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape, out: &mut [f32]) {
     use std::sync::atomic::{AtomicU32, Ordering};
 
     let (oh, ow) = (out_h(s), out_w(s));
     let w_ckk = s.cout * s.k * s.k;
     let init = |i: usize| AtomicU32::new(bias[i / (oh * ow)].to_bits());
-    let out: Vec<AtomicU32> = (0..s.cout * oh * ow).map(init).collect();
+    let cells: Vec<AtomicU32> = (0..s.cout * oh * ow).map(init).collect();
 
     let atomic_add = |cell: &AtomicU32, v: f32| {
         // Path form, so cc19-lint's name-based call graph does not take
@@ -132,7 +152,7 @@ fn deconv_scatter(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape) -> 
         for ix in 0..s.w {
             let x = input[ci * s.h * s.w + iy * s.w + ix];
             for co in 0..s.cout {
-                let plane = &out[co * oh * ow..(co + 1) * oh * ow];
+                let plane = &cells[co * oh * ow..(co + 1) * oh * ow];
                 for ky in 0..s.k {
                     for kx in 0..s.k {
                         let oy = iy as isize + ky as isize - s.pad as isize;
@@ -148,7 +168,9 @@ fn deconv_scatter(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape) -> 
             }
         }
     });
-    out.into_iter().map(|a| f32::from_bits(a.into_inner())).collect()
+    for (o, a) in out.iter_mut().zip(cells) {
+        *o = f32::from_bits(a.into_inner());
+    }
 }
 
 /// Gather formulation (inverse coefficient mapping): one store per output.
@@ -159,13 +181,13 @@ fn deconv_gather(
     s: ConvShape,
     prefetch: bool,
     unroll: bool,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
     let (oh, ow) = (out_h(s), out_w(s));
     let (h, w, k, pad, cin) = (s.h, s.w, s.k, s.pad, s.cin);
     let hw = h * w;
     let kk = k * k;
     let w_ckk = s.cout * kk;
-    let mut out = vec![0.0f32; s.cout * oh * ow];
     out.par_chunks_mut(oh * ow).enumerate().for_each(|(co, plane)| {
         let b = bias[co];
         for oy in 0..oh {
@@ -220,7 +242,6 @@ fn deconv_gather(
             }
         }
     });
-    out
 }
 
 /// One scalar gather output element in exactly the scalar ladder's
@@ -349,7 +370,8 @@ mod tests {
             let (input, weight, bias) = random_case(31 + k as u64, s);
             let (oh, ow) = (out_h(s), out_w(s));
             for unroll in [false, true] {
-                let expect = deconv_gather(&input, &weight, &bias, s, true, unroll);
+                let mut expect = vec![0.0f32; s.cout * oh * ow];
+                deconv_gather(&input, &weight, &bias, s, true, unroll, &mut expect);
                 for co in 0..s.cout {
                     let wco = &weight[co * k * k..];
                     for oy in 0..oh {

@@ -88,17 +88,17 @@ pub(crate) fn conv2d_avx2(
     bias: &[f32],
     s: ConvShape,
     mode: Mode,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
     assert_avx2();
     let (oh, ow) = (s.out_h(), s.out_w());
-    let mut out = vec![0.0f32; s.out_len()];
     out.par_chunks_mut(oh * ow).enumerate().for_each(|(co, plane)| {
         // SAFETY: AVX2+FMA presence asserted above; the buffer lengths
-        // were asserted by `conv2d_with`, and `conv_plane_avx2` confines
-        // raw loads to the interior box those lengths bound.
+        // (output included) were asserted by `conv2d_with_into`, and
+        // `conv_plane_avx2` confines raw loads and stores to the interior
+        // box those lengths bound.
         unsafe { conv_plane_avx2(input, weight, bias, s, co, plane, mode) }
     });
-    out
 }
 
 /// AVX2 gather deconvolution (stride-1 transposed conv), same contract
@@ -109,15 +109,14 @@ pub(crate) fn deconv2d_avx2(
     bias: &[f32],
     s: ConvShape,
     mode: Mode,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
     assert_avx2();
     let (oh, ow) = (deconv_out_h(s), deconv_out_w(s));
-    let mut out = vec![0.0f32; s.cout * oh * ow];
     out.par_chunks_mut(oh * ow).enumerate().for_each(|(co, plane)| {
         // SAFETY: as in `conv2d_avx2`.
         unsafe { deconv_plane_avx2(input, weight, bias, s, co, plane, mode) }
     });
-    out
 }
 
 /// One convolution output plane: scalar border ring + vector interior.

@@ -1,33 +1,31 @@
-//! The two executors every network forward runs on (DESIGN.md §8).
+//! The two executors every network forward runs on (DESIGN.md §8), and
+//! the kernel-ladder convolutions inference runs.
 //!
 //! DDnet (`Ddnet::run`) and the 3D classifier (`DenseNet3d::run`) are each
 //! written once against [`Exec`], the ops the two networks use. [`Tape`]
 //! records them on an autograd [`Graph`] — training, validation and the
-//! public `forward` methods. [`Eval`] runs them with no tape on
-//! reference-counted tensors — `Ddnet::enhance` and
-//! `DenseNet3d::predict_proba` — so each activation is freed when its
-//! last handle drops, a uniquely held one is normalised / activated in
-//! place, and parameters are borrowed rather than cloned per call.
+//! public `forward` methods. The other executor is
+//! [`crate::plan::Recorder`]: it runs the same walk once per input shape,
+//! on shapes alone, and compiles it into an inference [`crate::plan::Plan`]
+//! — `Ddnet::enhance`, `Ddnet::enhance_timed` and
+//! `DenseNet3d::predict_proba` run that plan, not the walk.
 //!
-//! The evaluator's 2D convolutions stay on `conv2d_dispatch` under
-//! [`ConvBackend::Auto`]'s shape-aware choice; its deconvolutions
-//! ([`deconv_gather`]) and 3D convolutions ([`conv3d_taps`]) run the
-//! kernel ladder's microkernels.
-//! [`conv2d_ladder`] and [`deconv_gather`] take the ladder stage, so
-//! `cc19_ddnet`'s timed executor can run DDnet at any of them.
+//! A served plan's 2D convolutions stay on `conv2d_dispatch`'s paths
+//! under [`cc19_tensor::conv_backend::ConvBackend::Auto`]'s shape-aware
+//! choice; its deconvolutions ([`deconv_gather`]) and 3D convolutions
+//! ([`conv3d_taps`]) run the kernel ladder's microkernels. A timed plan
+//! runs its 2D convolutions on the ladder too ([`conv2d_ladder`]), at the
+//! stage it is compiled for. Each has an `_into` form that writes into a
+//! plan's arena.
 
-use std::rc::Rc;
-
-use cc19_kernels::conv::{conv2d_with, conv3d_with, Conv3dShape, ConvShape};
-use cc19_kernels::deconv::{self, deconv2d_with};
+use cc19_kernels::conv::{conv2d_with_into, conv3d_with_into, Conv3dShape, ConvShape};
+use cc19_kernels::deconv::{self, deconv2d_with_into};
 use cc19_kernels::{simd, OptLevel};
 use cc19_tensor::conv::Conv2dSpec;
-use cc19_tensor::conv_backend::{conv2d_dispatch, ConvBackend};
-use cc19_tensor::pool::{global_avg_pool, max_pool2d, max_pool3d, PoolSpec};
-use cc19_tensor::resize::upsample_bilinear2d;
-use cc19_tensor::{obs, ops, Tensor, TensorError};
+use cc19_tensor::pool::PoolSpec;
+use cc19_tensor::{obs, Tensor, TensorError};
 
-use crate::graph::{linear_forward, Graph, Var};
+use crate::graph::{Graph, Var};
 use crate::layers::{BatchNorm, BnForward, Conv2d, Conv3d, ConvTranspose2d, Linear};
 use crate::Result;
 
@@ -122,91 +120,9 @@ impl Exec for Tape<'_> {
     }
 }
 
-/// Tape-free inference on reference-counted tensors.
-pub struct Eval {
-    /// Batch-norm statistics mode (an eval mode).
-    pub bn: BnForward,
-}
-
-/// The tensor behind `x`, without a copy when `x` is its only handle.
-pub fn owned(x: Rc<Tensor>) -> Tensor {
-    Rc::try_unwrap(x).unwrap_or_else(|shared| (*shared).clone())
-}
-
-impl Exec for Eval {
-    type V = Rc<Tensor>;
-
-    fn conv(&mut self, layer: &Conv2d, x: Rc<Tensor>) -> Result<Rc<Tensor>> {
-        let w = layer.weight.borrow();
-        let b = layer.bias.as_ref().map(|b| b.borrow());
-        let y = conv2d_dispatch(ConvBackend::Auto, &x, &w.value, b.as_ref().map(|b| &b.value), layer.spec)?;
-        Ok(Rc::new(y))
-    }
-
-    fn deconv(&mut self, layer: &ConvTranspose2d, x: Rc<Tensor>) -> Result<Rc<Tensor>> {
-        let w = layer.weight.borrow();
-        let b = layer.bias.as_ref().map(|b| b.borrow());
-        Ok(Rc::new(deconv_gather(LADDER_LEVEL, &x, &w.value, b.as_ref().map(|b| &b.value), layer.spec)?))
-    }
-
-    fn conv3d(&mut self, layer: &Conv3d, x: Rc<Tensor>) -> Result<Rc<Tensor>> {
-        let w = layer.weight.borrow();
-        let b = layer.bias.as_ref().map(|b| b.borrow());
-        Ok(Rc::new(conv3d_taps(&x, &w.value, b.as_ref().map(|b| &b.value), layer.spec)?))
-    }
-
-    fn batch_norm(&mut self, layer: &BatchNorm, x: Rc<Tensor>) -> Result<Rc<Tensor>> {
-        let mut y = owned(x);
-        layer.infer(&mut y, self.bn)?;
-        Ok(Rc::new(y))
-    }
-
-    fn leaky_relu(&mut self, x: Rc<Tensor>, slope: f32) -> Rc<Tensor> {
-        let mut y = owned(x);
-        // `ops::leaky_relu`'s map, in place.
-        for v in y.data_mut() {
-            if *v < 0.0 {
-                *v *= slope;
-            }
-        }
-        Rc::new(y)
-    }
-
-    fn max_pool(&mut self, x: Rc<Tensor>, spec: PoolSpec) -> Result<Rc<Tensor>> {
-        Ok(Rc::new(max_pool2d(&x, spec)?.0))
-    }
-
-    fn max_pool3d(&mut self, x: Rc<Tensor>, spec: PoolSpec) -> Result<Rc<Tensor>> {
-        Ok(Rc::new(max_pool3d(&x, spec)?.0))
-    }
-
-    fn global_avg_pool(&mut self, x: Rc<Tensor>) -> Result<Rc<Tensor>> {
-        Ok(Rc::new(global_avg_pool(&x)?))
-    }
-
-    fn linear(&mut self, layer: &Linear, x: Rc<Tensor>) -> Result<Rc<Tensor>> {
-        let (w, b) = (layer.weight.borrow(), layer.bias.borrow());
-        Ok(Rc::new(linear_forward(&x, &w.value, Some(&b.value))?))
-    }
-
-    fn upsample(&mut self, x: Rc<Tensor>, scale: usize) -> Result<Rc<Tensor>> {
-        Ok(Rc::new(upsample_bilinear2d(&x, scale)?))
-    }
-
-    fn concat(&mut self, a: Rc<Tensor>, b: Rc<Tensor>) -> Result<Rc<Tensor>> {
-        Ok(Rc::new(ops::concat(&[&a, &b], 1)?))
-    }
-
-    fn add(&mut self, a: Rc<Tensor>, b: Rc<Tensor>) -> Result<Rc<Tensor>> {
-        let mut y = owned(a);
-        ops::axpy(1.0, &b, &mut y)?;
-        Ok(Rc::new(y))
-    }
-}
-
-/// The kernel-ladder stage inference deconvolutions and 3D convolutions
-/// run at.
-const LADDER_LEVEL: OptLevel = OptLevel::RefactoredPrefetchUnrolled;
+/// The kernel-ladder stage served deconvolutions and 3D convolutions run
+/// at.
+pub(crate) const LADDER_LEVEL: OptLevel = OptLevel::RefactoredPrefetchUnrolled;
 
 /// `bias` as a `cout`-long slice (zeros when absent), or an `op` error.
 fn bias_or_zeros<'a>(op: &str, bias: Option<&'a Tensor>, cout: usize, zeros: &'a mut Vec<f32>) -> Result<&'a [f32]> {
@@ -220,37 +136,20 @@ fn bias_or_zeros<'a>(op: &str, bias: Option<&'a Tensor>, cout: usize, zeros: &'a
     }
 }
 
-/// Run `run_sample` on each `in_len`-long sample of `x` and stack the
-/// results as a `dims`-shaped tensor.
-fn per_sample(x: &Tensor, in_len: usize, dims: &[usize], run_sample: impl Fn(&[f32]) -> Vec<f32>) -> Result<Tensor> {
-    let mut out = Vec::new();
-    for sample in x.data().chunks_exact(in_len) {
-        let y = run_sample(sample);
-        if out.is_empty() {
-            out = y; // one sample: the kernel's buffer is the output
-        } else {
-            out.extend_from_slice(&y);
-        }
-    }
-    Tensor::from_vec(dims, out)
+/// The output dims of [`ladder2d_into`] for an `x_dims` input by a
+/// `w_dims` weight, or an `op` error for what the kernels cannot run.
+pub(crate) fn ladder2d_dims(op: &str, deconv: bool, x_dims: &[usize], w_dims: &[usize], spec: Conv2dSpec) -> Result<[usize; 4]> {
+    let s = ladder2d_shape(op, deconv, x_dims, w_dims, spec)?;
+    let (oh, ow) = if deconv { (deconv::out_h(s), deconv::out_w(s)) } else { (s.out_h(), s.out_w()) };
+    Ok([x_dims[0], s.cout, oh, ow])
 }
 
-/// Stride-1 2D convolution of an `(N, Cin, H, W)` batch by a square
-/// weight — `(Cin, Cout, K, K)` and transposed when `deconv`, else
-/// `(Cout, Cin, K, K)` — on the kernel ladder's `level` stage, one sample
-/// at a time, at the host's SIMD dispatch. What the kernels cannot run is
-/// an `op` error. Counted under `tensor_conv_*{op}`.
-fn ladder2d(
-    op: &'static str,
-    deconv: bool,
-    level: OptLevel,
-    x: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    spec: Conv2dSpec,
-) -> Result<Tensor> {
+/// One sample's [`ConvShape`] of a stride-1 2D convolution of an
+/// `(N, Cin, H, W)` input by a square weight — `(Cin, Cout, K, K)` and
+/// transposed when `deconv`, else `(Cout, Cin, K, K)` — or an `op` error
+/// for what the kernels cannot run.
+fn ladder2d_shape(op: &str, deconv: bool, d: &[usize], wd: &[usize], spec: Conv2dSpec) -> Result<ConvShape> {
     let bad = |m: String| Err(TensorError::Incompatible(format!("{op}: {m}")));
-    let (d, wd) = (x.dims(), weight.dims());
     if d.len() != 4 || wd.len() != 4 || wd[2] != wd[3] || d.contains(&0) {
         return bad(format!("want (N,Cin,H,W) input and square 4D weight, got {d:?} and {wd:?}"));
     }
@@ -260,59 +159,142 @@ fn ladder2d(
     if d[1] != cin || spec.stride != 1 || !fits {
         return bad(format!("input {d:?}, weight {wd:?}, {spec:?} is not a stride-1 convolution the ladder runs"));
     }
-    let s = ConvShape { cin, cout, h: d[2], w: d[3], k, pad };
-    let mut zeros = Vec::new();
-    let bias = bias_or_zeros(op, bias, cout, &mut zeros)?;
-    let (oh, ow) = if deconv { (deconv::out_h(s), deconv::out_w(s)) } else { (s.out_h(), s.out_w()) };
-    // every tap meets every input pixel when transposed, every output pixel when not
-    let grid = if deconv { s.h * s.w } else { oh * ow };
-    let _obs = obs::conv_call(op, "fwd", 2 * obs::macs(&[d[0], cin, cout, k, k, grid]));
-    let (kernel, dispatch) = (if deconv { deconv2d_with } else { conv2d_with }, simd::active());
-    per_sample(x, s.in_len(), &[d[0], cout, oh, ow], |sample| kernel(level, dispatch, sample, weight.data(), bias, s))
+    Ok(ConvShape { cin, cout, h: d[2], w: d[3], k, pad })
 }
 
-/// [`ladder2d`]'s convolution, counted under `op="conv2d_ladder"`.
+/// Stride-1 2D convolution (transposed when `deconv`) of the
+/// `x_dims`-shaped `x` on the kernel ladder's `level` stage, one sample at
+/// a time, at the host's SIMD dispatch, into `out`. What the kernels
+/// cannot run is an `op` error. Counted under `tensor_conv_*{op}`.
+#[allow(clippy::too_many_arguments)]
+fn ladder2d_into(
+    op: &'static str,
+    deconv: bool,
+    level: OptLevel,
+    x: &[f32],
+    x_dims: &[usize],
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: Conv2dSpec,
+    out: &mut [f32],
+) -> Result<()> {
+    let s = ladder2d_shape(op, deconv, x_dims, weight.dims(), spec)?;
+    let mut zeros = Vec::new();
+    let bias = bias_or_zeros(op, bias, s.cout, &mut zeros)?;
+    let [n, cout, oh, ow] = ladder2d_dims(op, deconv, x_dims, weight.dims(), spec)?;
+    if x.len() != n * s.in_len() || out.len() != n * cout * oh * ow {
+        return Err(TensorError::Incompatible(format!("{op}: buffers do not fit {x_dims:?} -> {:?}", [n, cout, oh, ow])));
+    }
+    // every tap meets every input pixel when transposed, every output pixel when not
+    let grid = if deconv { s.h * s.w } else { oh * ow };
+    let _obs = obs::conv_call(op, "fwd", 2 * obs::macs(&[n, s.cin, cout, s.k, s.k, grid]));
+    let (kernel, dispatch) = (if deconv { deconv2d_with_into } else { conv2d_with_into }, simd::active());
+    for (sample, y) in x.chunks_exact(s.in_len()).zip(out.chunks_exact_mut(cout * oh * ow)) {
+        kernel(level, dispatch, sample, weight.data(), bias, s, y);
+    }
+    Ok(())
+}
+
+/// [`ladder2d_into`]'s allocating form.
+fn ladder2d(op: &'static str, deconv: bool, level: OptLevel, x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Result<Tensor> {
+    let dims = ladder2d_dims(op, deconv, x.dims(), weight.dims(), spec)?;
+    let mut out = Tensor::zeros(dims);
+    ladder2d_into(op, deconv, level, x.data(), x.dims(), weight, bias, spec, out.data_mut())?;
+    Ok(out)
+}
+
+/// [`ladder2d_into`]'s convolution, counted under `op="conv2d_ladder"`.
 pub fn conv2d_ladder(level: OptLevel, x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Result<Tensor> {
     ladder2d("conv2d_ladder", false, level, x, weight, bias, spec)
 }
 
-/// [`ladder2d`]'s transposed convolution — from +REF on §4.2.1's gather
-/// deconvolution — counted under `op="deconv2d_gather"`.
+/// [`conv2d_ladder`] into `out`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv2d_ladder_into(
+    level: OptLevel,
+    x: &[f32],
+    x_dims: &[usize],
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: Conv2dSpec,
+    out: &mut [f32],
+) -> Result<()> {
+    ladder2d_into("conv2d_ladder", false, level, x, x_dims, weight, bias, spec, out)
+}
+
+/// [`ladder2d_into`]'s transposed convolution — from +REF on §4.2.1's
+/// gather deconvolution — counted under `op="deconv2d_gather"`.
 pub fn deconv_gather(level: OptLevel, x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Result<Tensor> {
     ladder2d("deconv2d_gather", true, level, x, weight, bias, spec)
+}
+
+/// [`deconv_gather`] into `out`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn deconv_gather_into(
+    level: OptLevel,
+    x: &[f32],
+    x_dims: &[usize],
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: Conv2dSpec,
+    out: &mut [f32],
+) -> Result<()> {
+    ladder2d_into("deconv2d_gather", true, level, x, x_dims, weight, bias, spec, out)
+}
+
+/// One sample's [`Conv3dShape`] of an `(N, Cin, D, H, W)` input by a
+/// cubic weight, or the typed error of what the kernel cannot run.
+pub(crate) fn conv3d_shape(x_dims: &[usize], w_dims: &[usize], spec: Conv2dSpec) -> Result<Conv3dShape> {
+    if x_dims.len() != 5 {
+        return Err(TensorError::Incompatible(format!("conv3d_taps: want (N,Cin,D,H,W) input, got {x_dims:?}")));
+    }
+    Conv3dShape::new(&x_dims[1..], w_dims, spec.stride, spec.padding)
 }
 
 /// 3D convolution of an `(N, Cin, D, H, W)` batch by a cubic
 /// `(Cout, Cin, K, K, K)` weight on the kernel ladder's convolution
 /// microkernel, one sample at a time, at the host's SIMD dispatch: each
 /// output depth is one 2D call over its in-volume depth taps
-/// ([`conv3d_with`]). Stride ≠ 1 or a non-cubic filter is a typed error.
-/// Counted under `tensor_conv_*{op="conv3d_taps"}`.
+/// ([`cc19_kernels::conv::conv3d_with`]). Stride ≠ 1 or a non-cubic
+/// filter is a typed error. Counted under
+/// `tensor_conv_*{op="conv3d_taps"}`.
 pub fn conv3d_taps(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Result<Tensor> {
-    let d = x.dims();
-    if d.len() != 5 {
-        return Err(TensorError::Incompatible(format!("conv3d_taps: want (N,Cin,D,H,W) input, got {d:?}")));
-    }
-    let s = Conv3dShape::new(&d[1..], weight.dims(), spec.stride, spec.padding)?;
+    let s = conv3d_shape(x.dims(), weight.dims(), spec)?;
+    let (od, oh, ow) = s.out_dhw();
+    let mut out = Tensor::zeros([x.dims()[0], s.cout, od, oh, ow]);
+    conv3d_taps_into(x.data(), x.dims(), weight, bias, spec, out.data_mut())?;
+    Ok(out)
+}
+
+/// [`conv3d_taps`] of the `x_dims`-shaped `x` into `out`.
+pub(crate) fn conv3d_taps_into(
+    x: &[f32],
+    x_dims: &[usize],
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: Conv2dSpec,
+    out: &mut [f32],
+) -> Result<()> {
+    let s = conv3d_shape(x_dims, weight.dims(), spec)?;
     let mut zeros = Vec::new();
     let bias = bias_or_zeros("conv3d_taps", bias, s.cout, &mut zeros)?;
-    let (od, oh, ow) = s.out_dhw();
-    let _obs = obs::conv_call(
-        "conv3d_taps",
-        "fwd",
-        2 * obs::macs(&[d[0], s.cout, s.cin, s.k, s.k, s.k, od, oh, ow]),
-    );
-    let level = simd::active();
-    per_sample(x, s.in_len(), &[d[0], s.cout, od, oh, ow], |sample| {
-        conv3d_with(LADDER_LEVEL, level, sample, weight.data(), bias, s)
-    })
+    let (n, (od, oh, ow)) = (x_dims[0], s.out_dhw());
+    if x.len() != n * s.in_len() || out.len() != n * s.out_len() {
+        return Err(TensorError::Incompatible(format!("conv3d_taps: buffers do not fit {x_dims:?}")));
+    }
+    let _obs = obs::conv_call("conv3d_taps", "fwd", 2 * obs::macs(&[n, s.cout, s.cin, s.k, s.k, s.k, od, oh, ow]));
+    let dispatch = simd::active();
+    for (sample, y) in x.chunks_exact(s.in_len()).zip(out.chunks_exact_mut(s.out_len())) {
+        conv3d_with_into(LADDER_LEVEL, dispatch, sample, weight.data(), bias, s, y);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cc19_tensor::conv::conv3d;
-    use cc19_tensor::conv_backend::conv_transpose2d_dispatch;
+    use cc19_tensor::conv_backend::{conv_transpose2d_dispatch, ConvBackend};
     use cc19_tensor::rng::Xorshift;
 
     #[test]
@@ -331,6 +313,36 @@ mod tests {
             let want = conv_transpose2d_dispatch(ConvBackend::Direct, &x, &w, None, spec).unwrap();
             assert!(unbiased.all_close(&want, 1e-5));
         }
+    }
+
+    #[test]
+    fn the_into_forms_write_their_twins_bits() {
+        let mut rng = Xorshift::new(13);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let spec = Conv2dSpec { stride: 1, padding: 2 };
+        let x = rng.uniform_tensor([2, 3, 11, 9], -1.0, 1.0);
+        let w = rng.uniform_tensor([3, 3, 5, 5], -0.5, 0.5);
+        let b = rng.uniform_tensor([3], -0.2, 0.2);
+        for level in OptLevel::ALL {
+            let want = conv2d_ladder(level, &x, &w, Some(&b), spec).unwrap();
+            let mut got = vec![f32::NAN; want.numel()];
+            conv2d_ladder_into(level, x.data(), x.dims(), &w, Some(&b), spec, &mut got).unwrap();
+            assert_eq!(bits(&got), bits(want.data()), "conv2d_ladder {level:?}");
+            let want = deconv_gather(level, &x, &w, None, spec).unwrap();
+            let mut got = vec![f32::NAN; want.numel()];
+            deconv_gather_into(level, x.data(), x.dims(), &w, None, spec, &mut got).unwrap();
+            assert_eq!(bits(&got), bits(want.data()), "deconv_gather {level:?}");
+        }
+        let v = rng.uniform_tensor([2, 2, 3, 7, 6], -1.0, 1.0);
+        let w3 = rng.uniform_tensor([4, 2, 3, 3, 3], -0.5, 0.5);
+        let spec = Conv2dSpec { stride: 1, padding: 1 };
+        let want = conv3d_taps(&v, &w3, Some(&b.reshape([3]).unwrap()), spec);
+        assert!(want.is_err(), "a 3-long bias for 4 channels");
+        let want = conv3d_taps(&v, &w3, None, spec).unwrap();
+        let mut got = vec![f32::NAN; want.numel()];
+        conv3d_taps_into(v.data(), v.dims(), &w3, None, spec, &mut got).unwrap();
+        assert_eq!(bits(&got), bits(want.data()), "conv3d_taps");
+        assert!(conv3d_taps_into(v.data(), v.dims(), &w3, None, spec, &mut got[1..]).is_err(), "short output");
     }
 
     #[test]

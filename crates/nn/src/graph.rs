@@ -67,9 +67,10 @@ pub enum BnMode {
 }
 
 /// Batch-norm forward in place over a `(N, C, *spatial)` tensor:
-/// `x ← gamma·(x − mean)/sqrt(var + eps) + beta`. This is the one
-/// statistics-and-normalise loop both the tape ([`Graph::batch_norm`]) and
-/// tape-free inference run, so the two cannot drift apart.
+/// `x ← gamma·(x − mean)/sqrt(var + eps) + beta`. The tape
+/// ([`Graph::batch_norm`]) and the inference plans ([`batch_norm_infer`])
+/// share its statistics and normalise loops ([`moments`],
+/// [`normalise`]), so the two cannot drift apart.
 ///
 /// Returns the statistics it normalised with: per channel for `Train`
 /// and `Eval`, per `(sample, channel)` (sample-major, `N·C` entries) for
@@ -81,44 +82,12 @@ pub fn batch_norm_in_place(
     eps: f32,
     mode: &BnMode,
 ) -> Result<(Vec<f32>, Vec<f32>)> {
-    if x.shape().rank() < 2 {
-        return Err(TensorError::Incompatible("batch_norm expects rank >= 2".into()));
-    }
-    let dims = x.dims();
-    let (n, c) = (dims[0], dims[1]);
-    let spatial: usize = dims[2..].iter().product();
-    if gamma.len() != c || beta.len() != c {
-        return Err(TensorError::Incompatible(format!(
-            "batch_norm: gamma/beta must have {c} elements"
-        )));
-    }
+    let (n, c, spatial) = bn_extents(x.dims(), gamma, beta)?;
     let per_sample = matches!(mode, BnMode::Instance);
     let xd = x.data_mut();
-
-    // Mean and variance of channel `ci` over the samples in `samples`,
-    // accumulated in f64 in memory order.
-    let moments = |xd: &[f32], ci: usize, samples: std::ops::Range<usize>| {
-        let m = (samples.len() * spatial) as f32; // reduction-set size
-        let plane = |ni: usize| &xd[(ni * c + ci) * spatial..(ni * c + ci + 1) * spatial];
-        let mut acc = 0.0f64;
-        for ni in samples.clone() {
-            for &v in plane(ni) {
-                acc += v as f64;
-            }
-        }
-        let mu = (acc / m as f64) as f32;
-        let mut acc = 0.0f64;
-        for ni in samples {
-            for &v in plane(ni) {
-                let d = v as f64 - mu as f64;
-                acc += d * d;
-            }
-        }
-        (mu, (acc / m as f64) as f32)
-    };
     let (mean, var): (Vec<f32>, Vec<f32>) = match mode {
-        BnMode::Train => (0..c).map(|ci| moments(xd, ci, 0..n)).unzip(),
-        BnMode::Instance => (0..n * c).map(|s| moments(xd, s % c, s / c..s / c + 1)).unzip(),
+        BnMode::Train => (0..c).map(|ci| moments(xd, c, spatial, ci, 0..n)).unzip(),
+        BnMode::Instance => (0..n * c).map(|s| moments(xd, c, spatial, s % c, s / c..s / c + 1)).unzip(),
         BnMode::Eval { mean, var } => {
             if mean.len() != c || var.len() != c {
                 return Err(TensorError::Incompatible(format!(
@@ -128,40 +97,126 @@ pub fn batch_norm_in_place(
             (mean.clone(), var.clone())
         }
     };
-
     for ni in 0..n {
         for ci in 0..c {
             let s = if per_sample { ni * c + ci } else { ci };
-            let inv = 1.0 / (var[s] + eps).sqrt();
-            let (g, b, mu) = (gamma[ci], beta[ci], mean[s]);
             let base = (ni * c + ci) * spatial;
-            for v in &mut xd[base..base + spatial] {
-                *v = g * (*v - mu) * inv + b;
-            }
+            normalise(&mut xd[base..base + spatial], gamma[ci], beta[ci], mean[s], var[s], eps);
         }
     }
     Ok((mean, var))
 }
 
+/// Inference batch norm in place over `dims`-shaped `x`: each sample's own
+/// statistics (`running` = `None`, [`BnMode::Instance`]) or the running
+/// `(mean, var)` ([`BnMode::Eval`]), with [`batch_norm_in_place`]'s bits
+/// and no allocation.
+pub(crate) fn batch_norm_infer(
+    x: &mut [f32],
+    dims: &[usize],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    running: Option<(&[f32], &[f32])>,
+) -> Result<()> {
+    let (n, c, spatial) = bn_extents(dims, gamma, beta)?;
+    if x.len() != n * c * spatial || running.is_some_and(|(m, v)| m.len() != c || v.len() != c) {
+        return Err(TensorError::Incompatible(format!("batch_norm: buffers do not fit {dims:?}")));
+    }
+    for ni in 0..n {
+        for ci in 0..c {
+            let (mu, var) = match running {
+                Some((mean, var)) => (mean[ci], var[ci]),
+                None => moments(x, c, spatial, ci, ni..ni + 1),
+            };
+            let base = (ni * c + ci) * spatial;
+            normalise(&mut x[base..base + spatial], gamma[ci], beta[ci], mu, var, eps);
+        }
+    }
+    Ok(())
+}
+
+/// `(N, C, spatial)` of a batch-norm input, checked against `gamma` /
+/// `beta`.
+fn bn_extents(dims: &[usize], gamma: &[f32], beta: &[f32]) -> Result<(usize, usize, usize)> {
+    if dims.len() < 2 {
+        return Err(TensorError::Incompatible("batch_norm expects rank >= 2".into()));
+    }
+    let (n, c) = (dims[0], dims[1]);
+    if gamma.len() != c || beta.len() != c {
+        return Err(TensorError::Incompatible(format!(
+            "batch_norm: gamma/beta must have {c} elements"
+        )));
+    }
+    Ok((n, c, dims[2..].iter().product()))
+}
+
+/// Mean and variance of channel `ci` of `(N, c, spatial)` data over the
+/// samples in `samples`, accumulated in f64 in memory order.
+fn moments(xd: &[f32], c: usize, spatial: usize, ci: usize, samples: std::ops::Range<usize>) -> (f32, f32) {
+    let m = (samples.len() * spatial) as f32; // reduction-set size
+    let plane = |ni: usize| &xd[(ni * c + ci) * spatial..(ni * c + ci + 1) * spatial];
+    let mut acc = 0.0f64;
+    for ni in samples.clone() {
+        for &v in plane(ni) {
+            acc += v as f64;
+        }
+    }
+    let mu = (acc / m as f64) as f32;
+    let mut acc = 0.0f64;
+    for ni in samples {
+        for &v in plane(ni) {
+            let d = v as f64 - mu as f64;
+            acc += d * d;
+        }
+    }
+    (mu, (acc / m as f64) as f32)
+}
+
+/// `x ← g·(x − mu)/sqrt(var + eps) + b` over one plane.
+fn normalise(plane: &mut [f32], g: f32, b: f32, mu: f32, var: f32, eps: f32) {
+    let inv = 1.0 / (var + eps).sqrt();
+    for v in plane {
+        *v = g * (*v - mu) * inv + b;
+    }
+}
+
 /// Fully-connected forward `x (N,K) @ w (K,M) + b (M)` — the one loop
-/// both the tape ([`Graph::linear`]) and tape-free inference run.
+/// both the tape ([`Graph::linear`]) and the inference plans run.
 pub(crate) fn linear_forward(x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Result<Tensor> {
-    let mut out = ops::matmul(x, w)?;
+    x.shape().expect_rank(2)?;
+    w.shape().expect_rank(2)?;
+    let mut out = Tensor::zeros([x.dims()[0], w.dims()[1]]);
+    linear_into(x.data(), x.dims(), w, b, out.data_mut())?;
+    Ok(out)
+}
+
+/// [`linear_forward`] of the `x_dims`-shaped `x` into `out`.
+pub(crate) fn linear_into(x: &[f32], x_dims: &[usize], w: &Tensor, b: Option<&Tensor>, out: &mut [f32]) -> Result<()> {
+    let (&[n, k], &[k2, m]) = (x_dims, w.dims()) else {
+        return Err(TensorError::Incompatible(format!("linear: want (N,K) x (K,M), got {x_dims:?} x {:?}", w.dims())));
+    };
+    if k != k2 || x.len() != n * k || out.len() != n * m {
+        return Err(TensorError::Incompatible(format!(
+            "matmul inner dims differ: ({n},{k}) x ({k2},{m}) [trans_a=false, trans_b=false]"
+        )));
+    }
+    out.fill(0.0);
+    cc19_tensor::gemm::sgemm(false, false, n, m, k, x, w.data(), out);
     if let Some(bias) = b {
-        let m = out.dims()[1];
         if bias.numel() != m {
             return Err(TensorError::Incompatible(format!(
                 "linear bias has {} elements, want {m}",
                 bias.numel()
             )));
         }
-        for row in out.data_mut().chunks_mut(m) {
+        for row in out.chunks_mut(m) {
             for (o, &bb) in row.iter_mut().zip(bias.data()) {
                 *o += bb;
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The autograd tape.
@@ -658,6 +713,20 @@ mod tests {
     use super::*;
     use crate::param::Param;
     use cc19_tensor::rng::Xorshift;
+
+    #[test]
+    fn linear_into_writes_the_tapes_linear_bits() {
+        let mut rng = Xorshift::new(17);
+        let (x, w, b) = (rng.uniform_tensor([3, 40], -1.0, 1.0), rng.uniform_tensor([40, 33], -1.0, 1.0), rng.uniform_tensor([33], -1.0, 1.0));
+        let mut g = Graph::new();
+        let (xv, wv, bv) = (g.input(x.clone()), g.input(w.clone()), g.input(b.clone()));
+        let y = g.linear(xv, wv, Some(bv)).unwrap();
+        let mut got = vec![f32::NAN; 3 * 33];
+        linear_into(x.data(), x.dims(), &w, Some(&b), &mut got).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(g.value(y).data()));
+        assert!(linear_into(x.data(), &[3, 39], &w, Some(&b), &mut got).is_err());
+    }
 
     /// Generic finite-difference gradient check against a scalar loss
     /// builder. `build` receives the graph and the input var and must

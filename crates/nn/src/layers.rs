@@ -5,12 +5,13 @@
 //! from these in `cc19-ddnet` and `cc19-analysis`.
 
 use std::cell::RefCell;
+use std::rc::Rc;
 
 use cc19_tensor::conv::Conv2dSpec;
 use cc19_tensor::rng::Xorshift;
 use cc19_tensor::{Tensor, TensorError};
 
-use crate::graph::{batch_norm_in_place, BnMode, Graph, Var};
+use crate::graph::{BnMode, Graph, Var};
 use crate::init::Init;
 use crate::param::{Param, ParamRef, ParamStore};
 use crate::Result;
@@ -143,12 +144,20 @@ pub struct BatchNorm {
     pub eps: f32,
     /// Running-stat update rate.
     pub momentum: f32,
-    running_mean: RefCell<Vec<f32>>,
-    running_var: RefCell<Vec<f32>>,
+    /// Running statistics, shared with the inference plans that read
+    /// them at run time.
+    pub(crate) running: Rc<RefCell<Running>>,
     /// False until the first training batch: the first batch's statistics
     /// seed the running stats directly, so eval mode is usable after even
     /// a single step (important for the short scaled training runs).
     warmed_up: std::cell::Cell<bool>,
+}
+
+/// A [`BatchNorm`] layer's running per-channel statistics.
+#[derive(Debug, Clone)]
+pub(crate) struct Running {
+    pub(crate) mean: Vec<f32>,
+    pub(crate) var: Vec<f32>,
 }
 
 /// How a [`BatchNorm`] layer computes its statistics in `forward_with`.
@@ -175,8 +184,7 @@ impl BatchNorm {
             beta,
             eps: 1e-5,
             momentum: 0.1,
-            running_mean: RefCell::new(vec![0.0; channels]),
-            running_var: RefCell::new(vec![1.0; channels]),
+            running: Rc::new(RefCell::new(Running { mean: vec![0.0; channels], var: vec![1.0; channels] })),
             warmed_up: std::cell::Cell::new(false),
         }
     }
@@ -194,14 +202,13 @@ impl BatchNorm {
         match mode {
             BnForward::Train => {
                 let (y, mean, var) = g.batch_norm(x, gamma, beta, self.eps, BnMode::Train)?;
-                let mut rm = self.running_mean.borrow_mut();
-                let mut rv = self.running_var.borrow_mut();
+                let mut running = self.running.borrow_mut();
                 let momentum = if self.warmed_up.get() { self.momentum } else { 1.0 };
                 self.warmed_up.set(true);
-                for (r, &m) in rm.iter_mut().zip(&mean) {
+                for (r, &m) in running.mean.iter_mut().zip(&mean) {
                     *r = (1.0 - momentum) * *r + momentum * m;
                 }
-                for (r, &v) in rv.iter_mut().zip(&var) {
+                for (r, &v) in running.var.iter_mut().zip(&var) {
                     *r = (1.0 - momentum) * *r + momentum * v;
                 }
                 Ok(y)
@@ -213,27 +220,16 @@ impl BatchNorm {
         }
     }
 
-    /// Tape-free inference forward, in place on `x`: the same
-    /// [`batch_norm_in_place`] loop [`BatchNorm::forward_with`] records.
-    /// `mode` must be an eval mode — training updates running statistics
-    /// and belongs on the tape.
-    pub fn infer(&self, x: &mut Tensor, mode: BnForward) -> Result<()> {
-        let mode = self.eval_mode(mode)?;
-        let (gamma, beta) = (self.gamma.borrow(), self.beta.borrow());
-        batch_norm_in_place(x, gamma.value.data(), beta.value.data(), self.eps, &mode)?;
-        Ok(())
-    }
-
     fn eval_mode(&self, mode: BnForward) -> Result<BnMode> {
         match mode {
             BnForward::Train => Err(TensorError::Incompatible(
                 "BatchNorm: BnForward::Train is not an inference mode".into(),
             )),
             BnForward::InstanceEval => Ok(BnMode::Instance),
-            BnForward::RunningEval => Ok(BnMode::Eval {
-                mean: self.running_mean.borrow().clone(),
-                var: self.running_var.borrow().clone(),
-            }),
+            BnForward::RunningEval => {
+                let running = self.running.borrow();
+                Ok(BnMode::Eval { mean: running.mean.clone(), var: running.var.clone() })
+            }
         }
     }
 
@@ -244,18 +240,17 @@ impl BatchNorm {
 
     /// Snapshot of the running mean (tests / checkpoints).
     pub fn running_mean(&self) -> Vec<f32> {
-        self.running_mean.borrow().clone()
+        self.running.borrow().mean.clone()
     }
 
     /// Snapshot of the running variance.
     pub fn running_var(&self) -> Vec<f32> {
-        self.running_var.borrow().clone()
+        self.running.borrow().var.clone()
     }
 
     /// Overwrite running statistics (checkpoint restore).
     pub fn set_running_stats(&self, mean: Vec<f32>, var: Vec<f32>) {
-        *self.running_mean.borrow_mut() = mean;
-        *self.running_var.borrow_mut() = var;
+        *self.running.borrow_mut() = Running { mean, var };
         self.warmed_up.set(true);
     }
 }

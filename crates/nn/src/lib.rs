@@ -8,7 +8,8 @@
 //! The engine is deliberately simple: a `Graph` is rebuilt every forward
 //! pass (define-by-run, like the PyTorch code the paper used); parallelism
 //! lives inside the tensor kernels, not across graph nodes. Inference
-//! skips the tape: [`exec`] runs the same network code without one.
+//! skips the tape: the same network code is compiled once per input shape
+//! into a [`plan::Plan`] that runs from one arena ([`exec`], [`plan`]).
 
 
 pub mod checkpoint;
@@ -19,6 +20,7 @@ pub mod layers;
 pub mod losses;
 pub mod optim;
 pub mod param;
+pub mod plan;
 pub mod ssim;
 
 pub use cc19_tensor::conv_backend::ConvBackend;

@@ -57,21 +57,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocation events in one warm `diagnose` of a 32×32×4 study on the
-/// reduced untrained pipeline, measured 2026-10: 1521 events. It was 5297
-/// before convolutions kept their metric handles in a static (every call
-/// used to sort and render its label set under the registry lock), the
-/// forward GEMM convolution lowered one bounded panel at a time instead
-/// of allocating a full im2col matrix, product and relayout, and `sgemm`
-/// allocated its packing pair once per task instead of once per block;
-/// 8194 while enhancement ran on the autograd tape. What remains is
-/// every op's fresh output tensor — the evaluator's activations, the GEMM
-/// convolution's panel workspace, the 3D convolution's per-depth staging,
-/// and segmentation — listed site by site in the hot-path inventory of
-/// `results/lint_report.json`. ROADMAP items 3–4's success metric is
-/// zero; until the plan compiler and its arena land, this documents how
-/// far away we are. Lower freely; raise only with a justification
-/// comment.
-const WARM_DIAGNOSE_ALLOC_CEILING: u64 = 1521;
+/// reduced untrained pipeline, measured 2026-10: 243 events. It was 1521
+/// while enhancement and classification ran a tape-free evaluator that
+/// gave every op a fresh output tensor and copied every concatenation;
+/// both networks now run an inference plan compiled once per input shape,
+/// whose activations live in one arena sized on the first call (DESIGN.md
+/// §8). Before that: 5297 events before convolutions kept their metric
+/// handles in a static, the forward GEMM convolution lowered one bounded
+/// panel at a time and `sgemm` stopped allocating its packing per block;
+/// 8194 while enhancement ran on the autograd tape. What remains is each
+/// enhanced slice's output, the GEMM convolutions' panel workspace, the
+/// 3D convolutions' per-call staging, segmentation, and the diagnosis
+/// itself. ROADMAP items 3–4's success metric is zero. Lower freely;
+/// raise only with a justification comment.
+const WARM_DIAGNOSE_ALLOC_CEILING: u64 = 243;
 
 #[test]
 fn warm_diagnose_allocation_count_is_pinned() {

@@ -1,12 +1,16 @@
 //! Output digests pinned bit for bit: `Ddnet::enhance` (tiny config,
 //! seed 3) on a seeded slice at five extents, and the probability of a
-//! warm `Framework::diagnose` at four. A change that moves a single bit
+//! warm `Framework::diagnose` at four; then the paper configuration
+//! (running-statistics batch norm, no residual add), the global-shortcut
+//! ablation (no decoder concatenation), a non-square 48×80 slice and the
+//! reduced classifier's probability. A change that moves a single bit
 //! of either network's inference, such as a re-blocked GEMM or a
 //! re-ordered convolution lowering, fails here. The pins were computed
 //! before the forward GEMM convolution was panelled, so they also record
 //! that panelling moved nothing. The 512² slice runs in the release-build
 //! stage of `scripts/tier1.sh`.
 
+use cc19_analysis::classifier::{ClassifierConfig, DenseNet3d};
 use cc19_data::dataset::ClassificationDataset;
 use cc19_ddnet::{Ddnet, DdnetConfig};
 use cc19_tensor::rng::Xorshift;
@@ -63,4 +67,52 @@ fn diagnose_probability_bits_are_pinned() {
         let p = fw.diagnose(&ds.test[0].volume.hu, 0.5).expect("diagnose").probability;
         assert_eq!(fnv1a(std::iter::once(p.to_bits())), want, "diagnose at 4×{extent}² (p = {p})");
     }
+}
+
+/// Digest of `net.enhance` on an `h×w` slice of uniform `[0, 1)` noise
+/// drawn from `seed`.
+fn net_digest(net: &Ddnet, h: usize, w: usize, seed: u64) -> u64 {
+    let slice = Xorshift::new(seed).uniform_tensor([h, w], 0.0, 1.0);
+    let out = net.enhance(&slice).expect("enhance");
+    assert!(!out.all_close(&slice, 1e-3), "the network must not be the identity");
+    fnv1a(out.data().iter().map(|v| u64::from(v.to_bits())))
+}
+
+/// `cfg` at seed 3 with every weight nudged by +0.01: an untrained tiny
+/// net's zero-initialised last layer makes it the identity otherwise.
+fn nudged(cfg: DdnetConfig) -> Ddnet {
+    let net = Ddnet::new(cfg, 3);
+    for p in net.store.params() {
+        for v in p.borrow_mut().value.data_mut() {
+            *v += 0.01;
+        }
+    }
+    net
+}
+
+#[test]
+fn paper_config_digest_is_pinned() {
+    // running-statistics batch norm, no residual add
+    assert_eq!(net_digest(&Ddnet::new(DdnetConfig::paper(), 3), 32, 32, 7), 13389800334580596921);
+}
+
+#[test]
+fn shortcut_ablation_digest_is_pinned() {
+    // no decoder concatenation at all
+    let mut cfg = DdnetConfig::tiny();
+    cfg.no_global_shortcuts = true;
+    assert_eq!(net_digest(&nudged(cfg), 32, 32, 8), 16363003001299970698);
+}
+
+#[test]
+fn non_square_slice_digest_is_pinned() {
+    assert_eq!(net_digest(&nudged(DdnetConfig::tiny()), 48, 80, 9), 1269881782421085438);
+}
+
+#[test]
+fn reduced_classifier_probability_bits_are_pinned() {
+    let net = DenseNet3d::new(ClassifierConfig::reduced(), 5);
+    let vol = Xorshift::new(10).uniform_tensor([8, 32, 32], 0.0, 1.0);
+    let p = net.predict_proba(&vol).expect("predict_proba");
+    assert_eq!(fnv1a(std::iter::once(p.to_bits())), 5047856437950149752, "p = {p}");
 }

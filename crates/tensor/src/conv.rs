@@ -57,7 +57,26 @@ fn expect_dims4(t: &Tensor, what: &str) -> Result<(usize, usize, usize, usize)> 
 /// 2D convolution. `input` is `(N, Cin, H, W)`, `weight` is
 /// `(Cout, Cin, KH, KW)`, optional `bias` is `(Cout,)`.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Result<Tensor> {
-    let (n, cin, h, w) = expect_dims4(input, "conv2d input")?;
+    let (n, cout, oh, ow) = conv2d_out_dims(input.dims(), weight, bias, spec)?;
+    let mut out = Tensor::zeros([n, cout, oh, ow]);
+    conv2d_into(input.data(), input.dims(), weight, bias, spec, out.data_mut())?;
+    Ok(out)
+}
+
+/// Check an `input_dims` input against `weight` / `bias` for [`conv2d`]
+/// and size its `(N, Cout, OH, OW)` output.
+fn conv2d_out_dims(
+    input_dims: &[usize],
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: Conv2dSpec,
+) -> Result<(usize, usize, usize, usize)> {
+    let &[n, cin, h, w] = input_dims else {
+        return Err(TensorError::Incompatible(format!(
+            "conv2d input must be rank-4 (NCHW), got rank {}",
+            input_dims.len()
+        )));
+    };
     let (cout, cin_w, kh, kw) = expect_dims4(weight, "conv2d weight")?;
     if cin != cin_w {
         return Err(TensorError::Incompatible(format!(
@@ -78,19 +97,39 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv
             spec.padding
         )));
     }
-    let oh = spec.out_extent(h, kh);
-    let ow = spec.out_extent(w, kw);
+    Ok((n, cout, spec.out_extent(h, kh), spec.out_extent(w, kw)))
+}
+
+/// [`conv2d`] of the `input_dims`-shaped NCHW `input` into `out`
+/// (`N*Cout*OH*OW` long, every element overwritten).
+pub fn conv2d_into(
+    input: &[f32],
+    input_dims: &[usize],
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: Conv2dSpec,
+    out: &mut [f32],
+) -> Result<()> {
+    let (n, cout, oh, ow) = conv2d_out_dims(input_dims, weight, bias, spec)?;
+    let (cin, h, w) = (input_dims[1], input_dims[2], input_dims[3]);
+    let (kh, kw) = (weight.dims()[2], weight.dims()[3]);
+    if input.len() != n * cin * h * w || out.len() != n * cout * oh * ow {
+        return Err(TensorError::Incompatible(format!(
+            "conv2d_into: {} input / {} output elements for {input_dims:?} -> ({n}, {cout}, {oh}, {ow})",
+            input.len(),
+            out.len()
+        )));
+    }
     let _obs =
         crate::obs::conv_call("conv2d", "fwd", 2 * crate::obs::macs(&[n, cout, cin, kh, kw, oh, ow]));
-    let mut out = Tensor::zeros([n, cout, oh, ow]);
 
-    let ind = input.data();
+    let ind = input;
     let wd = weight.data();
     let in_chw = cin * h * w;
     let w_ckk = cin * kh * kw;
 
     // One rayon task per (n, cout) output plane.
-    out.data_mut().par_chunks_mut(oh * ow).enumerate().for_each(|(plane, od)| {
+    out.par_chunks_mut(oh * ow).enumerate().for_each(|(plane, od)| {
         let ni = plane / cout;
         let co = plane % cout;
         let b = bias.map_or(0.0, |b| b.data()[co]);
@@ -123,7 +162,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv
             }
         }
     });
-    Ok(out)
+    Ok(())
 }
 
 /// Gradients of [`conv2d`] w.r.t. input, weight and bias.

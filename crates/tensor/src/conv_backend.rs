@@ -53,9 +53,13 @@ impl ConvBackend {
     /// Resolve `Auto` for a conv2d shape; returns `Direct` or `Gemm`,
     /// never `Auto`.
     pub fn resolve_conv2d(self, input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> ConvBackend {
+        self.resolve_conv2d_dims(input.dims(), weight.dims(), spec)
+    }
+
+    /// [`ConvBackend::resolve_conv2d`] from the input and weight shapes.
+    pub fn resolve_conv2d_dims(self, d: &[usize], wd: &[usize], spec: Conv2dSpec) -> ConvBackend {
         match self {
             ConvBackend::Auto => {
-                let (d, wd) = (input.dims(), weight.dims());
                 if d.len() != 4 || wd.len() != 4 {
                     return ConvBackend::Direct; // let the backend report the error
                 }

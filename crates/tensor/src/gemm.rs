@@ -37,11 +37,11 @@
 //!   real matrix bounds.
 //! * **Parallelism**: C's rows are split into one `MC`-aligned run per
 //!   rayon thread (`par_chunks_mut`), disjoint contiguous slices — no
-//!   synchronization, no false sharing. Each task allocates one packing
-//!   pair (`ap`, `bp`), `min(k, KC)` deep, and reuses it across its `MC`
-//!   blocks; the B panel is re-packed per block (cheap: `O(k*n)` per
-//!   `m/MC` blocks, a few percent of the `O(m*n*k)` FLOPs for any
-//!   non-degenerate shape).
+//!   synchronization, no false sharing. B is packed once per product
+//!   ([`PackedB`], every `(pc, jc)` block) and shared by all tasks; each
+//!   task packs its A blocks into one `min(k, KC)`-deep buffer reused
+//!   across its `MC` blocks. A panelled convolution packs its weight
+//!   once per call and reuses one A buffer across its panels.
 //!
 //! Small products (all of `m*n*k` below [`SMALL_THRESHOLD`]) skip packing
 //! entirely and run a simple ikj loop — for tiny operands the packing
@@ -318,9 +318,8 @@ pub(crate) fn sgemm_on(
     }
 }
 
-/// The blocked, packed core (module docs) for `m, n, k > 0`. Parallel
-/// over one `MC`-aligned run of C's rows per rayon thread; each task owns
-/// its contiguous output rows and one packing pair.
+/// The blocked, packed core (module docs) for `m, n, k > 0`: B packed
+/// once, then every row block of C against it.
 fn sgemm_packed(
     trans_a: bool,
     trans_b: bool,
@@ -331,26 +330,75 @@ fn sgemm_packed(
     b: &[f32],
     c: &mut [f32],
 ) {
-    let kcs = k.min(KC);
+    sgemm_prepacked(trans_a, m, a, &PackedB::new(b, k, n, trans_b), c, &mut Vec::new());
+}
+
+/// `op(B)` packed once for a whole product: one `min(k, KC)`-deep block
+/// of `NR`-interleaved panels per `(pc, jc)` pair, shared by every `MC`
+/// row block of C — and by every row panel of a panelled convolution.
+pub(crate) struct PackedB {
+    n: usize,
+    k: usize,
+    kcs: usize,
+    /// Floats per `(pc, jc)` block.
+    stride: usize,
+    data: Vec<f32>,
+}
+
+impl PackedB {
+    /// Pack the `(k, n)` operand `b` (stored `(n, k)` when `trans_b`).
+    pub(crate) fn new(b: &[f32], k: usize, n: usize, trans_b: bool) -> PackedB {
+        let kcs = k.min(KC);
+        let stride = kcs * ceil_mul(NC.min(n), NR);
+        let mut data = vec![0.0f32; stride * k.div_ceil(KC) * n.div_ceil(NC)];
+        let mut at = 0;
+        for p0 in (0..k).step_by(KC) {
+            for j0 in (0..n).step_by(NC) {
+                let bp = &mut data[at..at + stride];
+                pack_b(b, bp, kcs, p0..p0 + (k - p0).min(KC), j0..j0 + (n - j0).min(NC), k, n, trans_b);
+                at += stride;
+            }
+        }
+        PackedB { n, k, kcs, stride, data }
+    }
+
+    /// The packed block of depths `p0..` and columns `j0..`.
+    fn block(&self, p0: usize, j0: usize) -> &[f32] {
+        let at = ((p0 / KC) * self.n.div_ceil(NC) + j0 / NC) * self.stride;
+        &self.data[at..at + self.stride]
+    }
+}
+
+/// `C += op(A) · B` for an `(m, k)` operand A against a [`PackedB`], on
+/// the packed path. Parallel over one `MC`-aligned run of C's rows per
+/// rayon thread; a single-task product packs A into `ap`, which the
+/// caller keeps across calls, and each task of a split one into its own.
+pub(crate) fn sgemm_prepacked(trans_a: bool, m: usize, a: &[f32], b: &PackedB, c: &mut [f32], ap: &mut Vec<f32>) {
+    let (n, k, kcs) = (b.n, b.k, b.kcs);
     let task_rows = ceil_mul(m.div_ceil(rayon::current_num_threads()), MC);
-    c.par_chunks_mut(task_rows * n).enumerate().for_each(|(task, c_task)| {
-        // One min(k, KC)-deep packing pair per rayon task, reused across its MC blocks.
-        let mut ap = vec![0.0f32; ceil_mul(MC.min(c_task.len() / n), MR) * kcs];
-        let mut bp = vec![0.0f32; kcs * ceil_mul(NC.min(n), NR)];
+    let rows = |task: usize, c_task: &mut [f32], ap: &mut Vec<f32>| {
+        let need = ceil_mul(MC.min(c_task.len() / n), MR) * kcs;
+        if ap.len() < need {
+            ap.resize(need, 0.0);
+        }
         for (blk, c_chunk) in c_task.chunks_mut(MC * n).enumerate() {
             let i0 = task * task_rows + blk * MC;
             let mc = c_chunk.len() / n;
             for p0 in (0..k).step_by(KC) {
                 let kc = (k - p0).min(KC);
-                pack_a(a, &mut ap, kcs, i0..i0 + mc, p0..p0 + kc, m, k, trans_a);
+                pack_a(a, ap, kcs, i0..i0 + mc, p0..p0 + kc, m, k, trans_a);
                 for j0 in (0..n).step_by(NC) {
                     let nc = (n - j0).min(NC);
-                    pack_b(b, &mut bp, kcs, p0..p0 + kc, j0..j0 + nc, k, n, trans_b);
-                    macro_kernel(&ap, &bp, kcs, c_chunk, mc, nc, kc, j0, n);
+                    macro_kernel(ap, b.block(p0, j0), kcs, c_chunk, mc, nc, kc, j0, n);
                 }
             }
         }
-    });
+    };
+    if task_rows >= m {
+        rows(0, c, ap);
+    } else {
+        c.par_chunks_mut(task_rows * n).enumerate().for_each(|(task, c_task)| rows(task, c_task, &mut Vec::new()));
+    }
 }
 
 /// Unpacked ikj fallback for tiny products (packing would dominate).

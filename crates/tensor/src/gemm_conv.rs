@@ -50,7 +50,7 @@
 use rayon::prelude::*;
 
 use crate::conv::Conv2dSpec;
-use crate::gemm::{matmul, matmul_nt, matmul_tn, observed, sgemm_on, GemmPath};
+use crate::gemm::{matmul, matmul_nt, matmul_tn, observed, sgemm_on, sgemm_prepacked, GemmPath, PackedB};
 use crate::{Result, Tensor, TensorError};
 
 /// Byte budget of one forward panel's im2col block: L2-sized, so the
@@ -297,10 +297,31 @@ pub fn conv2d_gemm(
     bias: Option<&Tensor>,
     spec: Conv2dSpec,
 ) -> Result<Tensor> {
+    let g = gemm_geometry(input.dims(), weight, bias, spec)?;
+    let mut out = Tensor::zeros([g.n, g.cout, g.oh, g.ow]);
+    conv2d_gemm_into(input.data(), input.dims(), weight, bias, spec, out.data_mut())?;
+    Ok(out)
+}
+
+/// The extents of one forward GEMM convolution.
+struct GemmGeometry {
+    n: usize,
+    cin: usize,
+    h: usize,
+    w: usize,
+    cout: usize,
+    k: usize,
+    oh: usize,
+    ow: usize,
+}
+
+/// Check an `input_dims` input against `weight` / `bias` for
+/// [`conv2d_gemm`] and size its output.
+fn gemm_geometry(input_dims: &[usize], weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Result<GemmGeometry> {
     if weight.shape().rank() != 4 {
         return Err(TensorError::Incompatible("conv2d_gemm expects rank-4 weight".into()));
     }
-    if input.shape().rank() != 4 {
+    if input_dims.len() != 4 {
         return Err(TensorError::Incompatible("conv2d_gemm expects rank-4 NCHW input".into()));
     }
     let wd = weight.dims();
@@ -308,7 +329,7 @@ pub fn conv2d_gemm(
     if kh != kw {
         return Err(TensorError::Incompatible("conv2d_gemm supports square kernels only".into()));
     }
-    let d = input.dims();
+    let d = input_dims;
     if d[1] != cin {
         return Err(TensorError::Incompatible(format!(
             "conv2d_gemm: input has {} channels, weight expects {cin}",
@@ -321,36 +342,59 @@ pub fn conv2d_gemm(
             b.numel()
         )));
     }
-    let (n, h, w) = (d[0], d[2], d[3]);
-    let oh = spec.out_extent(h, kh);
-    let ow = spec.out_extent(w, kw);
+    let (oh, ow) = (spec.out_extent(d[2], kh), spec.out_extent(d[3], kw));
+    Ok(GemmGeometry { n: d[0], cin, h: d[2], w: d[3], cout, k: kh, oh, ow })
+}
+
+/// [`conv2d_gemm`] of the `input_dims`-shaped NCHW `input` into `out`
+/// (`N*Cout*OH*OW` long, every element overwritten). The weight is packed
+/// once per call and shared by every panel.
+pub fn conv2d_gemm_into(
+    input: &[f32],
+    input_dims: &[usize],
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: Conv2dSpec,
+    out: &mut [f32],
+) -> Result<()> {
+    let GemmGeometry { n, cin, h, w, cout, k, oh, ow } = gemm_geometry(input_dims, weight, bias, spec)?;
+    if input.len() != n * cin * h * w || out.len() != n * cout * oh * ow {
+        return Err(TensorError::Incompatible(format!(
+            "conv2d_gemm_into: {} input / {} output elements for {input_dims:?} -> ({n}, {cout}, {oh}, {ow})",
+            input.len(),
+            out.len()
+        )));
+    }
     let _obs = crate::obs::conv_call(
         "conv2d_gemm",
         "fwd",
-        2 * crate::obs::macs(&[n, cout, cin, kh, kw, oh, ow]),
+        2 * crate::obs::macs(&[n, cout, cin, k, k, oh, ow]),
     );
 
-    let (ckk, ohw) = (cin * kh * kw, oh * ow);
-    let mut out = Tensor::zeros([n, cout, oh, ow]);
+    let (ckk, ohw) = (cin * k * k, oh * ow);
     let path = GemmPath::of(n * ohw, cout, ckk);
     let rows = panel_rows(ckk).min(ohw);
     let mut cols = vec![0.0f32; rows * ckk];
     let mut prod = vec![0.0f32; rows * cout];
-    let g = Lowering { h, w, k: kh, stride: spec.stride, pad: spec.padding, ow };
-    let (x, wmat, bias) = (input.data(), weight.data(), bias.map(Tensor::data));
-    let od = out.data_mut();
+    let g = Lowering { h, w, k, stride: spec.stride, pad: spec.padding, ow };
+    let (wmat, bias) = (weight.data(), bias.map(Tensor::data));
+    // (len, C*K*K) x (Cout, C*K*K)^T: the weight transpose is folded
+    // into GEMM packing, not materialized, and packed once for all panels.
+    let packed = matches!(path, GemmPath::Packed).then(|| PackedB::new(wmat, ckk, cout, true));
+    let mut ap = Vec::new();
     let mut lower = || {
         for ni in 0..n {
-            let sample = &x[ni * cin * h * w..(ni + 1) * cin * h * w];
-            let planes = &mut od[ni * cout * ohw..(ni + 1) * cout * ohw];
+            let sample = &input[ni * cin * h * w..(ni + 1) * cin * h * w];
+            let planes = &mut out[ni * cout * ohw..(ni + 1) * cout * ohw];
             for r0 in (0..ohw).step_by(rows.max(1)) {
                 let len = (ohw - r0).min(rows);
                 let (cols, prod) = (&mut cols[..len * ckk], &mut prod[..len * cout]);
                 cols.par_chunks_mut(ckk.max(1)).enumerate().for_each(|(t, row)| g.fill_row(sample, r0 + t, row));
-                // (len, C*K*K) x (Cout, C*K*K)^T: the weight transpose is
-                // folded into GEMM packing, not materialized.
                 prod.fill(0.0);
-                sgemm_on(path, false, true, len, cout, ckk, cols, wmat, prod);
+                match &packed {
+                    Some(bp) => sgemm_prepacked(false, len, cols, bp, prod, &mut ap),
+                    None => sgemm_on(path, false, true, len, cout, ckk, cols, wmat, prod),
+                }
                 planes.par_chunks_mut(ohw).enumerate().for_each(|(co, plane)| {
                     let (dst, src) = (&mut plane[r0..r0 + len], prod[co..].iter().step_by(cout));
                     match bias {
@@ -365,7 +409,7 @@ pub fn conv2d_gemm(
         0 => lower(),
         flops => observed(flops, lower),
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Backward pass of [`conv2d_gemm`]; returns

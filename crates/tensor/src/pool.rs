@@ -38,47 +38,66 @@ pub fn max_pool2d(input: &Tensor, spec: PoolSpec) -> Result<(Tensor, Vec<u32>)> 
         return Err(TensorError::Incompatible("max_pool2d expects rank-4 input".into()));
     }
     let d = input.dims();
-    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-    let oh = spec.out_extent(h);
-    let ow = spec.out_extent(w);
+    let (n, c, oh, ow) = (d[0], d[1], spec.out_extent(d[2]), spec.out_extent(d[3]));
     let mut out = Tensor::zeros([n, c, oh, ow]);
     let mut arg = vec![0u32; n * c * oh * ow];
-    let ind = input.data();
-
+    let (h, w) = (d[2], d[3]);
     out.data_mut()
         .par_chunks_mut(oh * ow)
         .zip(arg.par_chunks_mut(oh * ow))
         .enumerate()
-        .for_each(|(plane, (od, ad))| {
-            let base = plane * h * w; // plane index == (n*c + c) plane over input too
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_off = 0usize;
-                    for ky in 0..spec.kernel {
-                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..spec.kernel {
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let off = iy as usize * w + ix as usize;
-                            let v = ind[base + off];
-                            if v > best {
-                                best = v;
-                                best_off = off;
-                            }
-                        }
+        .for_each(|(plane, (od, ad))| max_plane(&input.data()[plane * h * w..(plane + 1) * h * w], h, w, spec, od, Some(ad)));
+    Ok((out, arg))
+}
+
+/// [`max_pool2d`]'s output, without the argmax, of the `dims`-shaped
+/// `(N, C, H, W)` input into `out` (every element overwritten).
+pub fn max_pool2d_into(input: &[f32], dims: &[usize], spec: PoolSpec, out: &mut [f32]) -> Result<()> {
+    let &[n, c, h, w] = dims else {
+        return Err(TensorError::Incompatible("max_pool2d expects rank-4 input".into()));
+    };
+    let (oh, ow) = (spec.out_extent(h), spec.out_extent(w));
+    if input.len() != n * c * h * w || out.len() != n * c * oh * ow {
+        return Err(TensorError::Incompatible(format!("max_pool2d_into: buffers do not fit {dims:?}")));
+    }
+    out.par_chunks_mut(oh * ow)
+        .enumerate()
+        .for_each(|(plane, od)| max_plane(&input[plane * h * w..(plane + 1) * h * w], h, w, spec, od, None));
+    Ok(())
+}
+
+/// Max-pool one `(h, w)` plane into `od`, recording each winner's offset
+/// in `ad` when asked.
+fn max_plane(ind: &[f32], h: usize, w: usize, spec: PoolSpec, od: &mut [f32], mut ad: Option<&mut [u32]>) {
+    let (oh, ow) = (spec.out_extent(h), spec.out_extent(w));
+    for oy in 0..oh {
+        for ox in 0..ow {
+            let mut best = f32::NEG_INFINITY;
+            let mut best_off = 0usize;
+            for ky in 0..spec.kernel {
+                let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                if iy < 0 || iy >= h as isize {
+                    continue;
+                }
+                for kx in 0..spec.kernel {
+                    let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                    if ix < 0 || ix >= w as isize {
+                        continue;
                     }
-                    od[oy * ow + ox] = best;
-                    ad[oy * ow + ox] = best_off as u32;
+                    let off = iy as usize * w + ix as usize;
+                    let v = ind[off];
+                    if v > best {
+                        best = v;
+                        best_off = off;
+                    }
                 }
             }
-        });
-    Ok((out, arg))
+            od[oy * ow + ox] = best;
+            if let Some(ad) = ad.as_deref_mut() {
+                ad[oy * ow + ox] = best_off as u32;
+            }
+        }
+    }
 }
 
 /// Backward of [`max_pool2d`]: routes each output gradient to the argmax
@@ -199,57 +218,77 @@ pub fn max_pool3d(input: &Tensor, spec: PoolSpec) -> Result<(Tensor, Vec<u32>)> 
         return Err(TensorError::Incompatible("max_pool3d expects rank-5 input".into()));
     }
     let d = input.dims();
-    let (n, c, dd, h, w) = (d[0], d[1], d[2], d[3], d[4]);
-    let od_ = spec.out_extent(dd);
-    let oh = spec.out_extent(h);
-    let ow = spec.out_extent(w);
-    let mut out = Tensor::zeros([n, c, od_, oh, ow]);
-    let mut arg = vec![0u32; n * c * od_ * oh * ow];
-    let ind = input.data();
-
+    let ext = [d[2], d[3], d[4]];
+    let (od_, oh, ow) = (spec.out_extent(d[2]), spec.out_extent(d[3]), spec.out_extent(d[4]));
+    let mut out = Tensor::zeros([d[0], d[1], od_, oh, ow]);
+    let mut arg = vec![0u32; d[0] * d[1] * od_ * oh * ow];
+    let vol = d[2] * d[3] * d[4];
     out.data_mut()
         .par_chunks_mut(od_ * oh * ow)
         .zip(arg.par_chunks_mut(od_ * oh * ow))
         .enumerate()
-        .for_each(|(plane, (od, ad))| {
-            let base = plane * dd * h * w;
-            for oz in 0..od_ {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_off = 0usize;
-                        for kz in 0..spec.kernel {
-                            let iz = (oz * spec.stride + kz) as isize - spec.padding as isize;
-                            if iz < 0 || iz >= dd as isize {
+        .for_each(|(plane, (od, ad))| max_volume(&input.data()[plane * vol..(plane + 1) * vol], ext, spec, od, Some(ad)));
+    Ok((out, arg))
+}
+
+/// [`max_pool3d`]'s output, without the argmax, of the `dims`-shaped
+/// `(N, C, D, H, W)` input into `out` (every element overwritten).
+pub fn max_pool3d_into(input: &[f32], dims: &[usize], spec: PoolSpec, out: &mut [f32]) -> Result<()> {
+    let &[n, c, dd, h, w] = dims else {
+        return Err(TensorError::Incompatible("max_pool3d expects rank-5 input".into()));
+    };
+    let ovol = spec.out_extent(dd) * spec.out_extent(h) * spec.out_extent(w);
+    if input.len() != n * c * dd * h * w || out.len() != n * c * ovol {
+        return Err(TensorError::Incompatible(format!("max_pool3d_into: buffers do not fit {dims:?}")));
+    }
+    let vol = dd * h * w;
+    out.par_chunks_mut(ovol)
+        .enumerate()
+        .for_each(|(plane, od)| max_volume(&input[plane * vol..(plane + 1) * vol], [dd, h, w], spec, od, None));
+    Ok(())
+}
+
+/// Max-pool one `(d, h, w)` volume into `od`, recording each winner's
+/// offset in `ad` when asked.
+fn max_volume(ind: &[f32], [dd, h, w]: [usize; 3], spec: PoolSpec, od: &mut [f32], mut ad: Option<&mut [u32]>) {
+    let (od_, oh, ow) = (spec.out_extent(dd), spec.out_extent(h), spec.out_extent(w));
+    for oz in 0..od_ {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_off = 0usize;
+                for kz in 0..spec.kernel {
+                    let iz = (oz * spec.stride + kz) as isize - spec.padding as isize;
+                    if iz < 0 || iz >= dd as isize {
+                        continue;
+                    }
+                    for ky in 0..spec.kernel {
+                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..spec.kernel {
+                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                            if ix < 0 || ix >= w as isize {
                                 continue;
                             }
-                            for ky in 0..spec.kernel {
-                                let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for kx in 0..spec.kernel {
-                                    let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                                    if ix < 0 || ix >= w as isize {
-                                        continue;
-                                    }
-                                    let off = iz as usize * h * w + iy as usize * w + ix as usize;
-                                    let v = ind[base + off];
-                                    if v > best {
-                                        best = v;
-                                        best_off = off;
-                                    }
-                                }
+                            let off = iz as usize * h * w + iy as usize * w + ix as usize;
+                            let v = ind[off];
+                            if v > best {
+                                best = v;
+                                best_off = off;
                             }
                         }
-                        let oo = oz * oh * ow + oy * ow + ox;
-                        od[oo] = best;
-                        ad[oo] = best_off as u32;
                     }
                 }
+                let oo = oz * oh * ow + oy * ow + ox;
+                od[oo] = best;
+                if let Some(ad) = ad.as_deref_mut() {
+                    ad[oo] = best_off as u32;
+                }
             }
-        });
-    Ok((out, arg))
+        }
+    }
 }
 
 /// Backward of [`max_pool3d`].
@@ -277,20 +316,30 @@ pub fn max_pool3d_backward(
 /// Global average pooling over all spatial dims of `(N, C, ...)`, producing
 /// `(N, C)`.
 pub fn global_avg_pool(input: &Tensor) -> Result<Tensor> {
-    if input.shape().rank() < 3 {
+    let d = input.dims();
+    if d.len() < 3 {
         return Err(TensorError::Incompatible("global_avg_pool expects rank >= 3".into()));
     }
-    let d = input.dims();
-    let (n, c) = (d[0], d[1]);
-    let spatial: usize = d[2..].iter().product();
-    let mut out = Tensor::zeros([n, c]);
-    let ind = input.data();
-    let od = out.data_mut();
-    for plane in 0..n * c {
-        let s: f32 = ind[plane * spatial..(plane + 1) * spatial].iter().sum();
-        od[plane] = s / spatial as f32;
-    }
+    let mut out = Tensor::zeros([d[0], d[1]]);
+    global_avg_pool_into(input.data(), d, out.data_mut())?;
     Ok(out)
+}
+
+/// [`global_avg_pool`] of the `dims`-shaped input into the `N·C`-long
+/// `out`.
+pub fn global_avg_pool_into(input: &[f32], dims: &[usize], out: &mut [f32]) -> Result<()> {
+    if dims.len() < 3 {
+        return Err(TensorError::Incompatible("global_avg_pool expects rank >= 3".into()));
+    }
+    let spatial: usize = dims[2..].iter().product();
+    if input.len() != dims.iter().product::<usize>() || out.len() != dims[0] * dims[1] {
+        return Err(TensorError::Incompatible(format!("global_avg_pool_into: buffers do not fit {dims:?}")));
+    }
+    for (plane, o) in out.iter_mut().enumerate() {
+        let s: f32 = input[plane * spatial..(plane + 1) * spatial].iter().sum();
+        *o = s / spatial as f32;
+    }
+    Ok(())
 }
 
 /// Backward of [`global_avg_pool`].

@@ -14,39 +14,83 @@ pub fn upsample_bilinear2d(input: &Tensor, scale: usize) -> Result<Tensor> {
         return Err(TensorError::Incompatible("upsample_bilinear2d expects rank-4 input".into()));
     }
     let d = input.dims();
-    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-    let oh = h * scale;
-    let ow = w * scale;
-    let mut out = Tensor::zeros([n, c, oh, ow]);
-    let ind = input.data();
-    let sy = h as f32 / oh as f32;
-    let sx = w as f32 / ow as f32;
-
-    out.data_mut().par_chunks_mut(oh * ow).enumerate().for_each(|(plane, od)| {
-        let base = plane * h * w;
-        for oy in 0..oh {
-            // align_corners=false source coordinate
-            let fy = ((oy as f32 + 0.5) * sy - 0.5).max(0.0);
-            let y0 = (fy as usize).min(h - 1);
-            let y1 = (y0 + 1).min(h - 1);
-            let wy = fy - y0 as f32;
-            for ox in 0..ow {
-                let fx = ((ox as f32 + 0.5) * sx - 0.5).max(0.0);
-                let x0 = (fx as usize).min(w - 1);
-                let x1 = (x0 + 1).min(w - 1);
-                let wx = fx - x0 as f32;
-                let v00 = ind[base + y0 * w + x0];
-                let v01 = ind[base + y0 * w + x1];
-                let v10 = ind[base + y1 * w + x0];
-                let v11 = ind[base + y1 * w + x1];
-                od[oy * ow + ox] = v00 * (1.0 - wy) * (1.0 - wx)
-                    + v01 * (1.0 - wy) * wx
-                    + v10 * wy * (1.0 - wx)
-                    + v11 * wy * wx;
-            }
-        }
-    });
+    let mut out = Tensor::zeros([d[0], d[1], d[2] * scale, d[3] * scale]);
+    Bilinear::new(d[2], d[3], scale).resample(input.data(), out.data_mut())?;
     Ok(out)
+}
+
+/// One output row's (or column's) two source taps and the weight of the
+/// second.
+#[derive(Debug, Clone, Copy)]
+struct Tap {
+    i0: usize,
+    i1: usize,
+    t: f32,
+}
+
+impl Tap {
+    /// The `align_corners = false` source of output index `o` at source
+    /// step `step`, on an axis of `n` source samples.
+    fn at(o: usize, step: f32, n: usize) -> Tap {
+        let f = ((o as f32 + 0.5) * step - 0.5).max(0.0);
+        let i0 = (f as usize).min(n - 1);
+        Tap { i0, i1: (i0 + 1).min(n - 1), t: f - i0 as f32 }
+    }
+}
+
+/// The coefficient tables of a bilinear ×`scale` upsample of `(h, w)`
+/// planes: per output row and per output column, its two source taps and
+/// weight, computed once — [`upsample_bilinear2d`] builds them per call,
+/// an inference plan once per input shape.
+#[derive(Debug, Clone)]
+pub struct Bilinear {
+    h: usize,
+    w: usize,
+    rows: Vec<Tap>,
+    cols: Vec<Tap>,
+}
+
+impl Bilinear {
+    /// The tables for `(h, w)` planes upsampled by `scale`.
+    pub fn new(h: usize, w: usize, scale: usize) -> Bilinear {
+        let (oh, ow) = (h * scale, w * scale);
+        let (sy, sx) = (h as f32 / oh as f32, w as f32 / ow as f32);
+        let rows = (0..oh).map(|oy| Tap::at(oy, sy, h)).collect();
+        let cols = (0..ow).map(|ox| Tap::at(ox, sx, w)).collect();
+        Bilinear { h, w, rows, cols }
+    }
+
+    /// Upsample every `(h, w)` plane of `input` into the matching
+    /// `(h·scale, w·scale)` plane of `out` (every element overwritten).
+    pub fn resample(&self, input: &[f32], out: &mut [f32]) -> Result<()> {
+        let (h, w, oh, ow) = (self.h, self.w, self.rows.len(), self.cols.len());
+        let planes = input.len().checked_div(h * w).unwrap_or(0);
+        if input.len() != planes * h * w || out.len() != planes * oh * ow {
+            return Err(TensorError::Incompatible(format!(
+                "upsample: {} input / {} output elements do not fit ({h}, {w}) -> ({oh}, {ow}) planes",
+                input.len(),
+                out.len()
+            )));
+        }
+        out.par_chunks_mut((oh * ow).max(1)).enumerate().for_each(|(plane, od)| {
+            let src = &input[plane * h * w..(plane + 1) * h * w];
+            for (row, y) in od.chunks_exact_mut(ow).zip(&self.rows) {
+                let wy = y.t;
+                for (o, x) in row.iter_mut().zip(&self.cols) {
+                    let wx = x.t;
+                    let v00 = src[y.i0 * w + x.i0];
+                    let v01 = src[y.i0 * w + x.i1];
+                    let v10 = src[y.i1 * w + x.i0];
+                    let v11 = src[y.i1 * w + x.i1];
+                    *o = v00 * (1.0 - wy) * (1.0 - wx)
+                        + v01 * (1.0 - wy) * wx
+                        + v10 * wy * (1.0 - wx)
+                        + v11 * wy * wx;
+                }
+            }
+        });
+        Ok(())
+    }
 }
 
 /// Backward of [`upsample_bilinear2d`]: transposes the interpolation —

@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 
 status=0
 
+# Every tracked file under results/ as it stands now; the last stage
+# fails if the run changed any of them.
+results_state() { git ls-files -z -- results | xargs -0 -r sha256sum 2>&1; }
+results_at_start=$(results_state)
+
 # run_twice WHAT "ARTEFACT..." CMD...: run a deterministic stage twice and
 # byte-compare every artefact it writes between the two runs.
 run1() { echo "${1%/*}/.${1##*/}.run1"; }
@@ -79,7 +84,7 @@ echo "=== tier-1: SIMD kernel parity (auto + forced-scalar dispatch) ==="
 # CC19_SIMD=scalar, pinning the public entry points to the forced-scalar
 # ladder bit-for-bit. Inference runs DDnet's deconvolutions and the
 # classifier's 3D convolutions on that ladder (DESIGN.md §8), so the
-# executor's own suite (cc19-nn) and both networks' evaluator-vs-tape
+# inference plan's own suite (cc19-nn) and both networks' plan-vs-tape
 # parity suites (cc19-ddnet, cc19-analysis) re-run on the scalar twin too.
 if [ "$status" -eq 0 ]; then
     if ! CC19_SIMD=scalar cargo test -q -p cc19-kernels -p cc19-nn -p cc19-ddnet -p cc19-analysis; then
@@ -98,10 +103,13 @@ echo "=== tier-1: kernel and tensor suites in a release build (entry guards, 512
 # GEMM convolution's bit parity with the full lowering (panel_conv.rs)
 # and its workspace bound (conv_workspace.rs) — and the 512² enhance
 # digest (computecovid19's digests.rs) are ignored in the debug build,
-# which keeps its cases at 128² or smaller (DESIGN.md §8).
+# which keeps its cases at 128² or smaller (DESIGN.md §8), and so is
+# the warm 512² enhance's allocation bound (cc19-ddnet's plan_alloc.rs:
+# the output and GEMM panel workspace, nothing else).
 if [ "$status" -eq 0 ]; then
     if ! cargo test --release -q -p cc19-kernels -p cc19-tensor \
-        || ! cargo test --release -q -p computecovid19 --test digests; then
+        || ! cargo test --release -q -p computecovid19 --test digests \
+        || ! cargo test --release -q -p cc19-ddnet --test plan_alloc; then
         echo "tier-1: KERNEL/TENSOR SUITE FAILED (--release)"
         status=1
     fi
@@ -199,6 +207,10 @@ if grep -rnE 'span::enter|span!\(|SpanStore|span_stats|trace_jsonl' crates examp
 # allocation rule, its seed markers, inline opt-outs and report
 # inventory stay deleted.
 if grep -rnE 'cc19-hot|allow\(alloc|hot-path-alloc|alloc_sites' crates examples tests lint.toml; then echo "tier-1: THE DELETED STATIC ALLOCATION RULE IS BACK UNDER crates/, examples/, tests/ OR lint.toml"; status=1; fi
+# Two executors walk the networks (DESIGN.md §8): the tape for training
+# and the plan recorder for inference. The tape-free evaluator and the
+# timed ladder executor stay deleted.
+if grep -rn "impl Exec for" crates examples tests | grep -vE "impl Exec for (Tape|Recorder)\b"; then echo "tier-1: A THIRD EXECUTOR IS BACK (only Tape and the plan's Recorder implement Exec)"; status=1; fi
 
 echo
 echo "=== tier-1: static analysis ==="
@@ -227,6 +239,19 @@ if [ "$status" -eq 0 ]; then
         echo "tier-1: NOTICE — clippy not installed in this toolchain; skipping the"
         echo "        clippy -D warnings stage (cc19-lint still ran)."
     fi
+fi
+
+echo
+echo "=== tier-1: tracked results/ files unchanged by the run ==="
+# Every artefact a stage above writes is either untracked or
+# byte-deterministic, so a tier-1 run must leave results/ as it found it:
+# a tracked file that changed is an artefact that drifted from its
+# committed state, or a stage that appends.
+if [ "$results_at_start" != "$(results_state)" ]; then
+    echo "tier-1: THE RUN CHANGED TRACKED FILES UNDER results/"
+    diff <(echo "$results_at_start") <(results_state) | head -20
+    git status --short -- results | head -20
+    status=1
 fi
 
 echo
