@@ -232,7 +232,7 @@ impl DenseNet3d {
         self.check_input(&dims)?;
         let mut cache = self.plan.borrow_mut();
         let compile = || Plan::compile(&dims, Kernels::Served, BnForward::RunningEval, |rec, x| self.run(rec, x));
-        Ok(Plan::cached(&mut cache, &dims, compile)?.run(volume.data())?.data()[0])
+        Ok(Plan::cached(&mut cache, &dims, Kernels::Served, compile)?.run(volume.data())?.data()[0])
     }
 
     /// Total scalar parameter count.

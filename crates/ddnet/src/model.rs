@@ -247,6 +247,8 @@ pub struct Ddnet {
     decoder: Vec<DecoderStage>,
     /// The served inference plan of the last slice shape enhanced.
     plan: RefCell<Option<Plan>>,
+    /// The ladder plan of the last slice shape and level timed.
+    timed_plan: RefCell<Option<Plan>>,
 }
 
 /// A row of the architecture audit table (compare with paper Table 2).
@@ -335,7 +337,7 @@ impl Ddnet {
             }
         }
 
-        Ddnet { cfg, store, conv_stem, bn_stem, blocks, transitions, bn_transitions, decoder, plan: RefCell::new(None) }
+        Ddnet { cfg, store, conv_stem, bn_stem, blocks, transitions, bn_transitions, decoder, plan: RefCell::new(None), timed_plan: RefCell::new(None) }
     }
 
     /// Forward pass on a `(B, 1, H, W)` batch (H, W divisible by 16),
@@ -406,7 +408,7 @@ impl Ddnet {
     pub fn enhance(&self, img: &Tensor) -> Result<Tensor> {
         let dims = slice_dims(img)?;
         let mut cache = self.plan.borrow_mut();
-        let plan = Plan::cached(&mut cache, &dims, || self.compile(&dims, Kernels::Served))?;
+        let plan = Plan::cached(&mut cache, &dims, Kernels::Served, || self.compile(&dims, Kernels::Served))?;
         let mut y = plan.run(img.data())?;
         y.reshape_in_place(img.dims())?;
         Ok(y)
@@ -416,10 +418,13 @@ impl Ddnet {
     /// run the kernel ladder at `level`, one sample at a time, and the
     /// time its ops spent per kernel class (the measured rows of Tables
     /// 4, 5 and 7), read on the global registry's clock. The output
-    /// matches `enhance` up to the kernels' accumulation order.
+    /// matches `enhance` up to the kernels' accumulation order. The plan
+    /// is cached like `enhance`'s, keyed by shape and level.
     pub fn enhance_timed(&self, img: &Tensor, level: OptLevel) -> Result<(Tensor, KernelTimes)> {
         let dims = slice_dims(img)?;
-        let mut plan = self.compile(&dims, Kernels::Stage(level))?;
+        let kernels = Kernels::Stage(level);
+        let mut cache = self.timed_plan.borrow_mut();
+        let plan = Plan::cached(&mut cache, &dims, kernels, || self.compile(&dims, kernels))?;
         let clock = cc19_obs::global();
         let (mut y, ns) = plan.run_timed(img.data(), || clock.now_ns())?;
         y.reshape_in_place(img.dims())?;

@@ -145,8 +145,11 @@ fn deconv_scatter(input: &[f32], weight: &[f32], bias: &[f32], s: ConvShape, out
         }
     };
 
-    // one parallel task per input row across all input channels
-    (0..s.cin * s.h).into_par_iter().for_each(|row| {
+    // One work item per input row across all input channels, run in
+    // index order on this thread: with real threads the CAS adds below
+    // would sum each output in scheduling order, and the Baseline stage
+    // must give the same bits on every run.
+    (0..s.cin * s.h).for_each(|row| {
         let ci = row / s.h;
         let iy = row % s.h;
         for ix in 0..s.w {

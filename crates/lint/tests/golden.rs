@@ -181,6 +181,9 @@ fn unsafe_opt_outs_are_pinned_to_the_simd_files() {
         // #[global_allocator] counting shim for the warm 512² enhance's
         // allocation bound (DESIGN.md §8).
         "crates/ddnet/tests/plan_alloc.rs".to_string(),
+        // #[global_allocator] largest-request shim: a repeated
+        // `enhance_timed` call allocates no arena (DESIGN.md §8).
+        "crates/ddnet/tests/timed_plan.rs".to_string(),
         // AVX2 intrinsics (DESIGN.md §13).
         "crates/kernels/src/microkernel.rs".to_string(),
         // #[global_allocator] counting shim for the diagnose ratchet

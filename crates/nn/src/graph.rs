@@ -8,6 +8,8 @@
 //! append-only — and finally routes parameter gradients into their
 //! [`crate::Param`]s.
 
+use rayon::prelude::*;
+
 use cc19_tensor::conv::{conv3d, conv3d_backward, Conv2dSpec};
 use cc19_tensor::conv_backend::{
     conv2d_backward_dispatch, conv2d_dispatch, conv_transpose2d_backward_dispatch,
@@ -123,16 +125,15 @@ pub(crate) fn batch_norm_infer(
     if x.len() != n * c * spatial || running.is_some_and(|(m, v)| m.len() != c || v.len() != c) {
         return Err(TensorError::Incompatible(format!("batch_norm: buffers do not fit {dims:?}")));
     }
-    for ni in 0..n {
-        for ci in 0..c {
-            let (mu, var) = match running {
-                Some((mean, var)) => (mean[ci], var[ci]),
-                None => moments(x, c, spatial, ci, ni..ni + 1),
-            };
-            let base = (ni * c + ci) * spatial;
-            normalise(&mut x[base..base + spatial], gamma[ci], beta[ci], mu, var, eps);
-        }
-    }
+    // One `(n, c)` plane per item, each normalised by one thread.
+    x.par_chunks_mut(spatial.max(1)).enumerate().for_each(|(plane, xs)| {
+        let ci = plane % c;
+        let (mu, var) = match running {
+            Some((mean, var)) => (mean[ci], var[ci]),
+            None => moments(xs, 1, spatial, 0, 0..1),
+        };
+        normalise(xs, gamma[ci], beta[ci], mu, var, eps);
+    });
     Ok(())
 }
 

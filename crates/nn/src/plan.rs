@@ -307,6 +307,7 @@ struct Step {
 /// A network forward compiled for one input shape (module docs).
 pub struct Plan {
     dims: Vec<usize>,
+    kernels: Kernels,
     shapes: Vec<Vec<usize>>,
     steps: Vec<Step>,
     out: (Loc, usize),
@@ -379,7 +380,7 @@ impl Plan {
     }
 
     fn lay_out(dims: &[usize], rec: Recorder, out: usize) -> Plan {
-        let Recorder { shapes, ops, .. } = rec;
+        let Recorder { shapes, ops, kernels, .. } = rec;
         let numel = |v: usize| shapes[v].iter().product::<usize>();
         let end = ops.len();
 
@@ -506,6 +507,7 @@ impl Plan {
             .collect();
         Plan {
             dims: dims.to_vec(),
+            kernels,
             out: (loc(out), out),
             shapes,
             steps,
@@ -515,10 +517,16 @@ impl Plan {
         }
     }
 
-    /// The plan in `cache` if it was compiled for `dims`, else a fresh one
-    /// from `compile`, kept there — a network's one-plan cache.
-    pub fn cached<'c>(cache: &'c mut Option<Plan>, dims: &[usize], compile: impl FnOnce() -> Result<Plan>) -> Result<&'c mut Plan> {
-        if cache.as_ref().is_none_or(|plan| plan.dims != dims) {
+    /// The plan in `cache` if it was compiled for `dims` on `kernels`,
+    /// else a fresh one from `compile`, kept there — a network's one-plan
+    /// cache.
+    pub fn cached<'c>(
+        cache: &'c mut Option<Plan>,
+        dims: &[usize],
+        kernels: Kernels,
+        compile: impl FnOnce() -> Result<Plan>,
+    ) -> Result<&'c mut Plan> {
+        if cache.as_ref().is_none_or(|plan| plan.dims != dims || plan.kernels != kernels) {
             *cache = Some(compile()?);
         }
         Ok(cache.as_mut().expect("compiled above"))

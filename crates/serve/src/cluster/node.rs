@@ -60,7 +60,7 @@ pub(crate) fn spawn_node(
 ) -> io::Result<JoinHandle<()>> {
     std::thread::Builder::new()
         .name(format!("cc19-cluster-node-{}", node.id))
-        .spawn(move || node_loop(node, cfg, factory))
+        .spawn(move || rayon::serial(|| node_loop(node, cfg, factory)))
 }
 
 fn node_loop(node: Node, cfg: ServerCfg, factory: FrameworkFactory) {

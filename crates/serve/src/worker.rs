@@ -84,7 +84,10 @@ pub(crate) fn spawn_pipeline(
     done: Option<Arc<Doorbell>>,
 ) -> io::Result<JoinHandle<()>> {
     let ServerCfg { batch: policy, threshold, .. } = cfg;
-    std::thread::Builder::new().name(format!("serve-worker-{index}")).spawn(move || {
+    // A worker's parallelism is per request: its own kernels run serially
+    // (`rayon::serial`), so workers never oversubscribe with intra-op
+    // forks (DESIGN.md §8).
+    std::thread::Builder::new().name(format!("serve-worker-{index}")).spawn(move || rayon::serial(|| {
         let fw = factory();
         let mut scratch = Scratch::new();
         gate.wait_open();
@@ -113,5 +116,5 @@ pub(crate) fn spawn_pipeline(
                 }
             }
         }
-    })
+    }))
 }

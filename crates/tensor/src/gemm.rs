@@ -41,7 +41,8 @@
 //!   ([`PackedB`], every `(pc, jc)` block) and shared by all tasks; each
 //!   task packs its A blocks into one `min(k, KC)`-deep buffer reused
 //!   across its `MC` blocks. A panelled convolution packs its weight
-//!   once per call and reuses one A buffer across its panels.
+//!   once per call and shares it across its panels and threads, each
+//!   thread packing A into its own workspace.
 //!
 //! Small products (all of `m*n*k` below [`SMALL_THRESHOLD`]) skip packing
 //! entirely and run a simple ikj loop — for tiny operands the packing
@@ -330,7 +331,7 @@ fn sgemm_packed(
     b: &[f32],
     c: &mut [f32],
 ) {
-    sgemm_prepacked(trans_a, m, a, &PackedB::new(b, k, n, trans_b), c, &mut Vec::new());
+    sgemm_split(trans_a, m, a, &PackedB::new(b, k, n, trans_b), c);
 }
 
 /// `op(B)` packed once for a whole product: one `min(k, KC)`-deep block
@@ -371,33 +372,37 @@ impl PackedB {
 
 /// `C += op(A) · B` for an `(m, k)` operand A against a [`PackedB`], on
 /// the packed path. Parallel over one `MC`-aligned run of C's rows per
-/// rayon thread; a single-task product packs A into `ap`, which the
-/// caller keeps across calls, and each task of a split one into its own.
-pub(crate) fn sgemm_prepacked(trans_a: bool, m: usize, a: &[f32], b: &PackedB, c: &mut [f32], ap: &mut Vec<f32>) {
-    let (n, k, kcs) = (b.n, b.k, b.kcs);
+/// rayon thread, each packing its A blocks into a buffer of its own.
+fn sgemm_split(trans_a: bool, m: usize, a: &[f32], b: &PackedB, c: &mut [f32]) {
     let task_rows = ceil_mul(m.div_ceil(rayon::current_num_threads()), MC);
-    let rows = |task: usize, c_task: &mut [f32], ap: &mut Vec<f32>| {
-        let need = ceil_mul(MC.min(c_task.len() / n), MR) * kcs;
-        if ap.len() < need {
-            ap.resize(need, 0.0);
-        }
-        for (blk, c_chunk) in c_task.chunks_mut(MC * n).enumerate() {
-            let i0 = task * task_rows + blk * MC;
-            let mc = c_chunk.len() / n;
-            for p0 in (0..k).step_by(KC) {
-                let kc = (k - p0).min(KC);
-                pack_a(a, ap, kcs, i0..i0 + mc, p0..p0 + kc, m, k, trans_a);
-                for j0 in (0..n).step_by(NC) {
-                    let nc = (n - j0).min(NC);
-                    macro_kernel(ap, b.block(p0, j0), kcs, c_chunk, mc, nc, kc, j0, n);
-                }
+    c.par_chunks_mut(task_rows * b.n).enumerate().for_each(|(task, c_task)| {
+        let ap = &mut vec![0.0; apack_len(c_task.len() / b.n, b.k)];
+        sgemm_prepacked(trans_a, m, task * task_rows, a, b, c_task, ap);
+    });
+}
+
+/// Floats of A-packing buffer an `m`-row, depth-`k` product needs.
+pub(crate) fn apack_len(m: usize, k: usize) -> usize {
+    ceil_mul(MC.min(m), MR) * k.min(KC)
+}
+
+/// Rows `i0..` of the `m`-row product `op(A) · B` added into `c`
+/// (`c.len() / n` rows) on this thread alone, packing A into `ap`
+/// ([`apack_len`] floats at least): one task of [`sgemm_split`], or the
+/// rows of one convolution panel.
+pub(crate) fn sgemm_prepacked(trans_a: bool, m: usize, i0: usize, a: &[f32], b: &PackedB, c: &mut [f32], ap: &mut [f32]) {
+    let (n, k, kcs) = (b.n, b.k, b.kcs);
+    for (blk, c_chunk) in c.chunks_mut(MC * n).enumerate() {
+        let i = i0 + blk * MC;
+        let mc = c_chunk.len() / n;
+        for p0 in (0..k).step_by(KC) {
+            let kc = (k - p0).min(KC);
+            pack_a(a, ap, kcs, i..i + mc, p0..p0 + kc, m, k, trans_a);
+            for j0 in (0..n).step_by(NC) {
+                let nc = (n - j0).min(NC);
+                macro_kernel(ap, b.block(p0, j0), kcs, c_chunk, mc, nc, kc, j0, n);
             }
         }
-    };
-    if task_rows >= m {
-        rows(0, c, ap);
-    } else {
-        c.par_chunks_mut(task_rows * n).enumerate().for_each(|(task, c_task)| rows(task, c_task, &mut Vec::new()));
     }
 }
 

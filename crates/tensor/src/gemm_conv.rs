@@ -47,10 +47,12 @@
 //! transposed convolution is exactly the adjoint of the conv2d
 //! input-gradient, with `im2col(grad)` showing up in its backward.
 
+use std::sync::{Mutex, PoisonError};
+
 use rayon::prelude::*;
 
 use crate::conv::Conv2dSpec;
-use crate::gemm::{matmul, matmul_nt, matmul_tn, observed, sgemm_on, sgemm_prepacked, GemmPath, PackedB};
+use crate::gemm::{apack_len, matmul, matmul_nt, matmul_tn, observed, sgemm_on, sgemm_prepacked, GemmPath, PackedB, MC};
 use crate::{Result, Tensor, TensorError};
 
 /// Byte budget of one forward panel's im2col block: L2-sized, so the
@@ -59,13 +61,14 @@ use crate::{Result, Tensor, TensorError};
 /// GEMM convolution").
 const PANEL_BYTES: usize = 256 * 1024;
 
-/// Output positions per forward panel for a reduction depth of `ckk`
-/// (`Cin*K*K`): the most whole `MC`-row GEMM blocks whose im2col rows fit
-/// `PANEL_BYTES` (256 KiB), and at least one block when a single one
-/// does not.
+/// The most output positions a forward panel holds for a reduction depth
+/// of `ckk` (`Cin*K*K`): the most whole `MC`-row GEMM blocks whose im2col
+/// rows fit `PANEL_BYTES` (256 KiB), and at least one block when a single
+/// one does not. A panel is smaller where its product rows and A packing
+/// would push its workspace over the budget, or to give each pool thread
+/// one.
 pub fn panel_rows(ckk: usize) -> usize {
-    let mc = crate::gemm::MC;
-    (PANEL_BYTES / (4 * ckk.max(1)) / mc).max(1) * mc
+    (PANEL_BYTES / (4 * ckk.max(1)) / MC).max(1) * MC
 }
 
 /// Geometry of one im2col lowering: input planes `(H, W)`, a square `K`
@@ -373,37 +376,56 @@ pub fn conv2d_gemm_into(
 
     let (ckk, ohw) = (cin * k * k, oh * ow);
     let path = GemmPath::of(n * ohw, cout, ckk);
-    let rows = panel_rows(ckk).min(ohw);
-    let mut cols = vec![0.0f32; rows * ckk];
-    let mut prod = vec![0.0f32; rows * cout];
+    // At most `panel_rows` per panel, fewer while a block's whole
+    // workspace (below) would exceed `PANEL_BYTES`, and at least one
+    // panel per thread of the pool where a plane has that many `MC` blocks.
+    let per_thread = ohw.div_ceil(rayon::current_num_threads()).div_ceil(MC) * MC;
+    let workspace_len = |rows: usize| rows * (ckk + cout) + apack_len(rows, ckk);
+    let mut rows = panel_rows(ckk).min(per_thread);
+    while rows > MC && 4 * workspace_len(rows) > PANEL_BYTES {
+        rows -= MC;
+    }
+    let rows = rows.min(ohw).max(1);
+    let panels = ohw.div_ceil(rows);
     let g = Lowering { h, w, k, stride: spec.stride, pad: spec.padding, ow };
     let (wmat, bias) = (weight.data(), bias.map(Tensor::data));
     // (len, C*K*K) x (Cout, C*K*K)^T: the weight transpose is folded
-    // into GEMM packing, not materialized, and packed once for all panels.
+    // into GEMM packing, not materialized, and packed once for all panels
+    // and threads.
     let packed = matches!(path, GemmPath::Packed).then(|| PackedB::new(wmat, ckk, cout, true));
-    let mut ap = Vec::new();
-    let mut lower = || {
-        for ni in 0..n {
+    // Panels run in index-ordered blocks across the pool, each block in
+    // one workspace of its own (im2col rows, panel product, A packing);
+    // a finished panel's block of the product is written into the NCHW
+    // planes under the lock, a small copy next to the panel's fill and
+    // GEMM.
+    let (cols_len, prod_len) = (rows * ckk, rows * cout);
+    let workspace = || vec![0.0f32; workspace_len(rows)];
+    let out = Mutex::new(out);
+    let lower = || {
+        (0..n * panels).into_par_iter().for_each_init(workspace, |ws, p| {
+            let (ni, r0) = (p / panels, p % panels * rows);
+            let len = (ohw - r0).min(rows);
             let sample = &input[ni * cin * h * w..(ni + 1) * cin * h * w];
-            let planes = &mut out[ni * cout * ohw..(ni + 1) * cout * ohw];
-            for r0 in (0..ohw).step_by(rows.max(1)) {
-                let len = (ohw - r0).min(rows);
-                let (cols, prod) = (&mut cols[..len * ckk], &mut prod[..len * cout]);
-                cols.par_chunks_mut(ckk.max(1)).enumerate().for_each(|(t, row)| g.fill_row(sample, r0 + t, row));
-                prod.fill(0.0);
-                match &packed {
-                    Some(bp) => sgemm_prepacked(false, len, cols, bp, prod, &mut ap),
-                    None => sgemm_on(path, false, true, len, cout, ckk, cols, wmat, prod),
-                }
-                planes.par_chunks_mut(ohw).enumerate().for_each(|(co, plane)| {
-                    let (dst, src) = (&mut plane[r0..r0 + len], prod[co..].iter().step_by(cout));
-                    match bias {
-                        Some(b) => dst.iter_mut().zip(src).for_each(|(o, &v)| *o = v + b[co]),
-                        None => dst.iter_mut().zip(src).for_each(|(o, &v)| *o = v),
-                    }
-                });
+            let (cols, rest) = ws.split_at_mut(cols_len);
+            let (prod, ap) = rest.split_at_mut(prod_len);
+            let (cols, prod) = (&mut cols[..len * ckk], &mut prod[..len * cout]);
+            for (t, row) in cols.chunks_exact_mut(ckk.max(1)).enumerate() {
+                g.fill_row(sample, r0 + t, row);
             }
-        }
+            prod.fill(0.0);
+            match &packed {
+                Some(bp) => sgemm_prepacked(false, len, 0, cols, bp, prod, ap),
+                None => sgemm_on(path, false, true, len, cout, ckk, cols, wmat, prod),
+            }
+            let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+            for (co, plane) in out[ni * cout * ohw..(ni + 1) * cout * ohw].chunks_exact_mut(ohw).enumerate() {
+                let (dst, src) = (&mut plane[r0..r0 + len], prod[co..].iter().step_by(cout));
+                match bias {
+                    Some(b) => dst.iter_mut().zip(src).for_each(|(o, &v)| *o = v + b[co]),
+                    None => dst.iter_mut().zip(src).for_each(|(o, &v)| *o = v),
+                }
+            }
+        })
     };
     match 2 * crate::obs::macs(&[n, ohw, cout, ckk]) {
         0 => lower(),

@@ -85,9 +85,12 @@ echo "=== tier-1: SIMD kernel parity (auto + forced-scalar dispatch) ==="
 # ladder bit-for-bit. Inference runs DDnet's deconvolutions and the
 # classifier's 3D convolutions on that ladder (DESIGN.md §8), so the
 # inference plan's own suite (cc19-nn) and both networks' plan-vs-tape
-# parity suites (cc19-ddnet, cc19-analysis) re-run on the scalar twin too.
+# parity suites (cc19-ddnet, cc19-analysis) re-run on the scalar twin too,
+# and so does the serial-vs-pooled bit-identity suite (`pool_identity.rs`
+# in cc19-tensor, cc19-kernels, cc19-ddnet and computecovid19).
 if [ "$status" -eq 0 ]; then
-    if ! CC19_SIMD=scalar cargo test -q -p cc19-kernels -p cc19-nn -p cc19-ddnet -p cc19-analysis; then
+    if ! CC19_SIMD=scalar cargo test -q -p cc19-kernels -p cc19-nn -p cc19-ddnet -p cc19-analysis \
+        || ! CC19_SIMD=scalar cargo test -q -p cc19-tensor -p computecovid19 --test pool_identity; then
         echo "tier-1: KERNEL PARITY FAILED (CC19_SIMD=scalar)"
         status=1
     fi
@@ -105,11 +108,12 @@ echo "=== tier-1: kernel and tensor suites in a release build (entry guards, 512
 # digest (computecovid19's digests.rs) are ignored in the debug build,
 # which keeps its cases at 128² or smaller (DESIGN.md §8), and so is
 # the warm 512² enhance's allocation bound (cc19-ddnet's plan_alloc.rs:
-# the output and GEMM panel workspace, nothing else).
+# the output and GEMM panel workspace, nothing else). The serial-vs-pooled
+# bit-identity suite runs here too, its 512² enhance included.
 if [ "$status" -eq 0 ]; then
     if ! cargo test --release -q -p cc19-kernels -p cc19-tensor \
-        || ! cargo test --release -q -p computecovid19 --test digests \
-        || ! cargo test --release -q -p cc19-ddnet --test plan_alloc; then
+        || ! cargo test --release -q -p computecovid19 --test digests --test pool_identity \
+        || ! cargo test --release -q -p cc19-ddnet --test plan_alloc --test pool_identity; then
         echo "tier-1: KERNEL/TENSOR SUITE FAILED (--release)"
         status=1
     fi
@@ -193,7 +197,7 @@ run_twice "REQUEST TRACING" results/trace_smoke.jsonl \
     env CC19_OBS_DETERMINISTIC=1 cargo test -q -p cc19-serve --test trace
 
 echo
-echo "=== tier-1: no wait timer, deleted serve knob, second stage timer, second span system or second allocation gate ==="
+echo "=== tier-1: no wait timer, deleted serve knob, second stage timer, second span system, second allocation gate or second thread pool ==="
 # The batching window, the router/node polling intervals and the
 # enhancement slice-batching mode are deleted knobs (DESIGN.md §10, §14),
 # not defaults to tune back in. The serve worker's trace spans are the
@@ -211,6 +215,10 @@ if grep -rnE 'cc19-hot|allow\(alloc|hot-path-alloc|alloc_sites' crates examples 
 # and the plan recorder for inference. The tape-free evaluator and the
 # timed ladder executor stay deleted.
 if grep -rn "impl Exec for" crates examples tests | grep -vE "impl Exec for (Tape|Recorder)\b"; then echo "tier-1: A THIRD EXECUTOR IS BACK (only Tape and the plan's Recorder implement Exec)"; status=1; fi
+# The rayon shim's pool is the one source of intra-op threads (DESIGN.md
+# §8): the numeric crates spawn none of their own, so its bounded size,
+# its serial request workers and its bit-identical splits hold.
+if grep -rnE 'thread::scope|thread::spawn' crates/tensor/src crates/kernels/src crates/nn/src crates/ddnet/src crates/analysis/src; then echo "tier-1: A NUMERIC CRATE SPAWNS ITS OWN THREADS (use the rayon pool)"; status=1; fi
 
 echo
 echo "=== tier-1: static analysis ==="
